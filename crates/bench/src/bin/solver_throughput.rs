@@ -11,12 +11,12 @@
 //!   pre-SIMD bodies, kept as the differential oracle);
 //! * `simd_serial` — [`SweepEngine`] over the lane-folded flat-row
 //!   kernels of [`fdm::kernels`];
-//! * `threaded_2` / `threaded_4` — [`ParallelSweepEngine`] with the
-//!   interior strip-decomposed over scoped threads (the threaded engine
-//!   only has the lane-folded path, so `threaded_4` doubles as the
-//!   `simd_threaded` column);
-//! * `tiled_k2` / `tiled_k4` / `tiled_k8` — [`TiledSweepEngine`] at 4
-//!   threads, fusing k sweeps per cache pass over a skewed row
+//! * `threaded_2` / `threaded_4` — [`SweepEngine`] on the plans
+//!   `{2, 1}` / `{4, 1}`, the interior strip-decomposed over scoped
+//!   threads (the banded step only has the lane-folded path, so
+//!   `threaded_4` doubles as the `simd_threaded` column);
+//! * `tiled_k2` / `tiled_k4` / `tiled_k8` — [`SweepEngine`] on the plans
+//!   `{tile_threads(), k}` (up to 4 threads), fusing k sweeps per cache pass over a skewed row
 //!   wavefront. MLUP/s counts *useful* updates (`interior x k` per
 //!   epoch); the halo trapezoid's redundant rows are charged to the
 //!   variant, not hidden.
@@ -48,7 +48,7 @@
 use std::time::Instant;
 
 use fdm::convergence::StopCondition;
-use fdm::engine::{ParallelSweepEngine, Session, SolveEngine, SweepEngine};
+use fdm::engine::{Session, SolveEngine, SweepEngine, SweepPlan};
 use fdm::grid::Grid2D;
 use fdm::kernels::baseline::sweep_jacobi_indexed;
 use fdm::kernels::OffsetRow;
@@ -56,7 +56,6 @@ use fdm::pde::{PdeKind, StencilProblem};
 use fdm::solver::krylov::{conjugate_gradient, matrix_free_cg, KrylovEngine};
 use fdm::solver::UpdateMethod;
 use fdm::sparse::StencilSystem;
-use fdm::tiled::TiledSweepEngine;
 use fdm::workload::benchmark_problem;
 
 /// Paper-scale measurement grids (full mode).
@@ -81,6 +80,23 @@ fn tile_threads() -> usize {
         .map_or(1, std::num::NonZeroUsize::get)
         .min(4)
 }
+
+/// The strip-parallel plan `{threads, 1}`.
+fn banded(threads: usize) -> SweepPlan {
+    SweepPlan {
+        threads,
+        tile_depth: 1,
+    }
+}
+
+/// The tiled plan `{tile_threads(), k}`.
+fn tiled_plan(k: usize) -> SweepPlan {
+    SweepPlan {
+        threads: tile_threads(),
+        tile_depth: k,
+    }
+}
+
 /// Analytic traffic of one untiled f32 Jacobi update once the grid
 /// spills the cache: read `cur` (4 B, the three-row window is streamed
 /// once) + write-allocate `next` (4 B) + write back (4 B).
@@ -197,7 +213,7 @@ fn measure(sizes: &[usize]) -> Vec<ThroughputRow> {
                 n,
                 steps,
                 time_engine(
-                    ParallelSweepEngine::new(&sp, UpdateMethod::Jacobi, 2),
+                    SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, banded(2)),
                     steps,
                 ),
             );
@@ -205,7 +221,7 @@ fn measure(sizes: &[usize]) -> Vec<ThroughputRow> {
                 n,
                 steps,
                 time_engine(
-                    ParallelSweepEngine::new(&sp, UpdateMethod::Jacobi, 4),
+                    SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, banded(4)),
                     steps,
                 ),
             );
@@ -216,7 +232,7 @@ fn measure(sizes: &[usize]) -> Vec<ThroughputRow> {
                     n,
                     epochs * k,
                     time_engine(
-                        TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, k, tile_threads()),
+                        SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, tiled_plan(k)),
                         epochs,
                     ),
                 );
@@ -376,7 +392,7 @@ fn identity_matrix() -> Vec<IdentityRow> {
         let mut residual_bits = Vec::new();
         let mut iterations = Vec::new();
         for threads in ID_THREADS {
-            let mut engine = ParallelSweepEngine::new(&sp, method, threads);
+            let mut engine = SweepEngine::with_plan(&sp, method, banded(threads));
             let mut last = 0.0f64;
             for _ in 0..ID_STEPS {
                 last = engine.step().norm.expect("sweeps always produce a norm");
@@ -433,7 +449,7 @@ fn simd_field_identity() -> IdentityRow {
     let scalar_sum = field_checksum(&cur);
 
     let mut serial = SweepEngine::new(&sp, UpdateMethod::Jacobi);
-    let mut threaded = ParallelSweepEngine::new(&sp, UpdateMethod::Jacobi, 4);
+    let mut threaded = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, banded(4));
     for _ in 0..ID_STEPS {
         serial.step();
         threaded.step();
@@ -445,7 +461,12 @@ fn simd_field_identity() -> IdentityRow {
         field_checksum(serial.solution()),
         field_checksum(threaded.solution()),
     ];
-    let iterations = vec![ID_STEPS, ID_STEPS, serial.iterations(), threaded.iterations()];
+    let iterations = vec![
+        ID_STEPS,
+        ID_STEPS,
+        serial.iterations(),
+        threaded.iterations(),
+    ];
     assert!(
         residual_bits.iter().all(|&b| b == residual_bits[0]),
         "simd_field: field checksums differ across kernel paths: {residual_bits:#018x?}"
@@ -457,10 +478,15 @@ fn simd_field_identity() -> IdentityRow {
     IdentityRow {
         method: "simd_field",
         contract: Contract::Bitwise,
-        variants: ["baseline_indexed", "scalar_rows", "simd_serial", "simd_threads_4"]
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
+        variants: [
+            "baseline_indexed",
+            "scalar_rows",
+            "simd_serial",
+            "simd_threads_4",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect(),
         residual_bits,
         iterations,
     }
@@ -482,7 +508,7 @@ fn tiled_identity() -> IdentityRow {
     let mut residual_bits = vec![last.to_bits()];
     let mut iterations = vec![serial.iterations()];
     for k in TILE_DEPTHS {
-        let mut tiled = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, k, tile_threads());
+        let mut tiled = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, tiled_plan(k));
         let mut norm = 0.0f64;
         for _ in 0..ID_STEPS / k {
             norm = tiled.step().norm.expect("epochs always produce a norm");

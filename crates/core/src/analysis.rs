@@ -20,8 +20,9 @@
 //! * **FDX017** — does the durability cadence do anything for jobs the
 //!   budget analysis proves will finish before their first checkpoint?
 //! * **FDX018** — is the strip-parallel band plan race-free? A dataflow
-//!   pass over the [`fdm::engine::ParallelSweepEngine`] band geometry
-//!   proves band disjointness and fixed-order fold determinism.
+//!   pass over the band geometry a [`fdm::engine::SweepPlan`] gives the
+//!   sweep engine proves band disjointness and fixed-order fold
+//!   determinism.
 //! * **FDX019** — which rungs of the fallback chain are statically dead
 //!   for this job class?
 //!
@@ -37,7 +38,7 @@ use crate::elastic::ElasticConfig;
 use crate::lint::{DiagCode, Diagnostic, LintReport, ServiceSpec, Severity};
 use crate::perf_model;
 use core::ops::Range;
-use fdm::kernels::row_bands;
+use fdm::engine::SweepPlan;
 use fdm::precision::{Scalar, F16};
 use fdm::theory;
 
@@ -674,15 +675,30 @@ pub struct BandPlan {
 }
 
 impl BandPlan {
-    /// The plan [`fdm::engine::ParallelSweepEngine`] derives for
-    /// `threads` workers — by construction ascending, disjoint and
-    /// contiguous, so it always certifies clean.
-    pub fn from_threads(rows: usize, cols: usize, threads: usize) -> Self {
+    /// The bands [`fdm::engine::SweepEngine`] sweeps `method` in under
+    /// `plan` ([`SweepPlan::bands`], tile-depth floor included) — by
+    /// construction ascending, disjoint and contiguous, so it always
+    /// certifies clean.
+    pub fn from_sweep_plan(
+        rows: usize,
+        cols: usize,
+        plan: SweepPlan,
+        method: fdm::solver::UpdateMethod,
+    ) -> Self {
         BandPlan {
             rows,
             cols,
-            bands: row_bands(rows, threads.max(1)),
+            bands: plan.bands(rows, method),
         }
+    }
+
+    /// The Jacobi band plan of the strip-parallel plan `{threads, 1}`.
+    pub fn from_threads(rows: usize, cols: usize, threads: usize) -> Self {
+        let plan = SweepPlan {
+            threads,
+            tile_depth: 1,
+        };
+        Self::from_sweep_plan(rows, cols, plan, fdm::solver::UpdateMethod::Jacobi)
     }
 }
 

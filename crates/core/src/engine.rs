@@ -12,8 +12,8 @@
 //!   O(1) macro-step, so paper-sized grids cost nothing to "run".
 
 pub use fdm::engine::{
-    EngineError, EngineStateImage, ParallelSweepEngine, ResiliencePolicy, Session, SolveEngine,
-    StepFault, StepOutcome, SweepEngine,
+    EngineError, EngineStateImage, ResiliencePolicy, Session, SolveEngine, StepFault, StepOutcome,
+    SweepEngine, SweepPlan,
 };
 
 use crate::accelerator::HwUpdateMethod;

@@ -9,13 +9,16 @@
 //! breakers, and degrades through an ordered fallback chain
 //!
 //! ```text
-//! DetailedSim -> HwReferenceEngine -> ParallelSweepEngine -> SweepEngine
+//! DetailedSim -> HwReferenceEngine -> SweepEngine {parallel_threads, 1}
+//!     -> SweepEngine {parallel_threads, tile_depth} -> SweepEngine {1, 1}
 //!     -> KrylovEngine (steady-state jobs only) -> EstimateEngine
 //! ```
 //!
 //! until something serves the job. Every admitted job terminates with a
 //! definite [`ServiceReport`] naming the rung that served it (or the
-//! error that ended it) and every attempt along the way.
+//! error that ended it) and every attempt along the way. The three
+//! software rungs are one [`SweepEngine`] on three [`SweepPlan`]s
+//! `{threads, tile_depth}`, driven by one runner.
 //!
 //! # Determinism
 //!
@@ -50,11 +53,10 @@ use crate::resilience::{FdmaxError, RecoveryReport, ResiliencePolicy};
 use crate::sim::DetailedSim;
 use core::fmt;
 use fdm::convergence::StopCondition;
-use fdm::engine::{Budget, CancelToken, ParallelSweepEngine, Session, SolveEngine, SweepEngine};
+use fdm::engine::{Budget, CancelToken, Session, SolveEngine, SweepEngine, SweepPlan};
 use fdm::grid::Grid2D;
 use fdm::pde::StencilProblem;
 use fdm::solver::krylov::KrylovEngine;
-use fdm::tiled::TiledSweepEngine;
 use memmodel::faults::FaultCampaign;
 use memmodel::FaultInjector;
 use std::collections::VecDeque;
@@ -202,17 +204,19 @@ pub enum Rung {
     Detailed,
     /// Hardware-semantics [`HwReferenceEngine`] (bit-exact, no timing).
     Reference,
-    /// Strip-parallel software [`ParallelSweepEngine`]: row bands on
-    /// scoped threads, bit-identical to the serial sweeps.
+    /// Strip-parallel software sweeps: [`SweepEngine`] on the plan
+    /// `{parallel_threads, 1}`, row bands on scoped threads,
+    /// bit-identical to the serial sweeps.
     Parallel,
-    /// Temporal wavefront tiling ([`TiledSweepEngine`]): fuses
-    /// `tile_depth` sweeps per cache pass over the strip decomposition,
-    /// trading the per-sweep norm cadence (residual histories become
-    /// epoch-granular) for ~`tile_depth`× less memory traffic. Only the
+    /// Temporal wavefront tiling: [`SweepEngine`] on the plan
+    /// `{parallel_threads, tile_depth}`, fusing `tile_depth` sweeps per
+    /// cache pass over the strip decomposition, trading the per-sweep
+    /// norm cadence (residual histories become epoch-granular) for
+    /// ~`tile_depth`× less memory traffic. Only the
     /// data-parallel sweeps tile; other jobs skip through as
     /// [`AttemptDisposition::SkippedNotApplicable`].
     Tiled,
-    /// Pure software [`SweepEngine`].
+    /// Serial software sweeps: [`SweepEngine`] on [`SweepPlan::SERIAL`].
     Software,
     /// Matrix-free conjugate gradients
     /// ([`KrylovEngine`]): converges
@@ -1448,7 +1452,9 @@ impl SolveService {
     /// the remaining iterations but reports the *total* executed, so
     /// the service clock advances exactly as an uninterrupted run
     /// would), and streams checkpoints to the journal at the
-    /// configured cadence.
+    /// configured cadence. The clock is billed in sweeps: the session
+    /// converts the deadline and stall window into the steps of an
+    /// engine that fuses several sweeps per step.
     fn run_engine<E: SolveEngine>(
         &self,
         job: &Job,
@@ -1485,7 +1491,7 @@ impl SolveService {
             }
         }
         let run = session.run();
-        let executed = base + session.steps_executed() as u64;
+        let executed = base + session.sweeps_executed() as u64;
         let (engine, _history) = session.into_parts();
         RungRun {
             result: run
@@ -1535,111 +1541,25 @@ impl SolveService {
         )
     }
 
-    fn run_parallel(
-        &self,
-        job: &Job,
-        stop: &StopCondition,
-        remaining: u64,
-        dur: DurCtx<'_>,
-    ) -> RungRun {
-        let engine = ParallelSweepEngine::new(
+    /// The [`SweepEngine`] serving one of the three software rungs, on
+    /// that rung's plan.
+    fn sweep_engine<'j>(&self, job: &'j Job, rung: Rung) -> SweepEngine<'j, f32> {
+        let threads = self.config.parallel_threads;
+        let plan = match rung {
+            Rung::Parallel => SweepPlan {
+                threads,
+                tile_depth: 1,
+            },
+            Rung::Tiled => SweepPlan {
+                threads,
+                tile_depth: self.config.tile_depth,
+            },
+            _ => SweepPlan::SERIAL,
+        };
+        SweepEngine::with_plan(
             &job.spec.problem,
             job.spec.method.software_equivalent(),
-            self.config.parallel_threads,
-        );
-        self.run_engine(
-            job,
-            stop,
-            remaining,
-            dur,
-            engine,
-            ParallelSweepEngine::into_solution,
-        )
-    }
-
-    /// The temporally tiled software rung. Billing differs from
-    /// [`SolveService::run_engine`]: one engine step is a whole epoch of
-    /// up to `tile_depth` sweeps, so the session's step budget is the
-    /// deadline converted to epochs, the engine's iteration cap keeps
-    /// the final epoch from overshooting the deadline, and the executed
-    /// figure billed to the service clock is the engine's *iteration*
-    /// count, not the session's step count.
-    fn run_tiled(
-        &self,
-        job: &Job,
-        stop: &StopCondition,
-        remaining: u64,
-        mut dur: DurCtx<'_>,
-    ) -> RungRun {
-        let k = self.config.tile_depth.max(1);
-        let mut engine = TiledSweepEngine::new(
-            &job.spec.problem,
-            job.spec.method.software_equivalent(),
-            k,
-            self.config.parallel_threads,
-        );
-        let mut base = 0u64;
-        if let Some(image) = dur.resume.take() {
-            if engine.restore_state(image) {
-                base = image.iterations as u64;
-            }
-        }
-        let iteration_ceiling = remaining.max(base).min(stop.max_iterations() as u64);
-        let mut engine = engine.with_iteration_cap(iteration_ceiling as usize);
-        let epoch_deadline = (remaining.saturating_sub(base) as usize).div_ceil(k);
-        let mut budget = Budget::deadline(epoch_deadline).with_cancel(job.cancel.clone());
-        if self.config.stall_window > 0 && stop.tolerance_value().is_some() {
-            // The watchdog window is counted in history entries, which
-            // are epochs here: convert so it spans the same sweep count.
-            budget = budget.with_stall_watchdog(
-                self.config.stall_window.div_ceil(k).max(2),
-                self.config.stall_min_decay,
-            );
-        }
-        let mut session = Session::new(&mut engine, *stop).with_budget(budget);
-        if dur.checkpoint_every > 0 {
-            if let Some(journal) = dur.journal.take() {
-                let (job_id, rung) = (dur.job_id, dur.rung);
-                session = session.with_state_sink(dur.checkpoint_every as usize, move |image| {
-                    if let Some(name) = journal.write_checkpoint(job_id, rung, image) {
-                        journal.append(&JournalRecord::CheckpointTaken {
-                            id: job_id,
-                            rung,
-                            iteration: image.iterations as u64,
-                            snapshot_ref: name,
-                        });
-                    }
-                });
-            }
-        }
-        let run = session.run();
-        drop(session);
-        let executed = engine.iterations() as u64;
-        RungRun {
-            result: run
-                .map(|met| (met, Some(engine.into_solution())))
-                .map_err(FdmaxError::from),
-            executed,
-            cycles: self.analytic_cycles(&job.spec, executed),
-            recovery: None,
-        }
-    }
-
-    fn run_software(
-        &self,
-        job: &Job,
-        stop: &StopCondition,
-        remaining: u64,
-        dur: DurCtx<'_>,
-    ) -> RungRun {
-        let engine = SweepEngine::new(&job.spec.problem, job.spec.method.software_equivalent());
-        self.run_engine(
-            job,
-            stop,
-            remaining,
-            dur,
-            engine,
-            SweepEngine::into_solution,
+            plan,
         )
     }
 
@@ -1769,11 +1689,6 @@ impl SolveService {
                     job.spec.method,
                     elastic,
                 );
-                let hedge = ParallelSweepEngine::new(
-                    &job.spec.problem,
-                    job.spec.method.software_equivalent(),
-                    self.config.parallel_threads,
-                );
                 race_engines(
                     stop,
                     &job.cancel,
@@ -1782,52 +1697,38 @@ impl SolveService {
                     &p_cancel,
                     HwReferenceEngine::into_solution,
                     trigger,
-                    hedge,
-                    h_budget,
-                    &h_cancel,
-                    ParallelSweepEngine::into_solution,
-                )
-            }
-            HedgePair::ParallelSoftware => {
-                let primary = ParallelSweepEngine::new(
-                    &job.spec.problem,
-                    job.spec.method.software_equivalent(),
-                    self.config.parallel_threads,
-                );
-                let hedge =
-                    SweepEngine::new(&job.spec.problem, job.spec.method.software_equivalent());
-                race_engines(
-                    stop,
-                    &job.cancel,
-                    primary,
-                    p_budget,
-                    &p_cancel,
-                    ParallelSweepEngine::into_solution,
-                    trigger,
-                    hedge,
+                    self.sweep_engine(job, Rung::Parallel),
                     h_budget,
                     &h_cancel,
                     SweepEngine::into_solution,
                 )
             }
-            HedgePair::SoftwareKrylov => {
-                let primary =
-                    SweepEngine::new(&job.spec.problem, job.spec.method.software_equivalent());
-                let hedge = KrylovEngine::new(&job.spec.problem);
-                race_engines(
-                    stop,
-                    &job.cancel,
-                    primary,
-                    p_budget,
-                    &p_cancel,
-                    SweepEngine::into_solution,
-                    trigger,
-                    hedge,
-                    h_budget,
-                    &h_cancel,
-                    KrylovEngine::into_solution,
-                )
-            }
+            HedgePair::ParallelSoftware => race_engines(
+                stop,
+                &job.cancel,
+                self.sweep_engine(job, Rung::Parallel),
+                p_budget,
+                &p_cancel,
+                SweepEngine::into_solution,
+                trigger,
+                self.sweep_engine(job, Rung::Software),
+                h_budget,
+                &h_cancel,
+                SweepEngine::into_solution,
+            ),
+            HedgePair::SoftwareKrylov => race_engines(
+                stop,
+                &job.cancel,
+                self.sweep_engine(job, Rung::Software),
+                p_budget,
+                &p_cancel,
+                SweepEngine::into_solution,
+                trigger,
+                KrylovEngine::new(&job.spec.problem),
+                h_budget,
+                &h_cancel,
+                KrylovEngine::into_solution,
+            ),
         }
     }
 
@@ -1880,9 +1781,7 @@ impl SolveService {
                     // failed).
                     if rung == Rung::Tiled
                         && (self.config.tile_depth <= 1
-                            || !TiledSweepEngine::<f32>::supports(
-                                job.spec.method.software_equivalent(),
-                            ))
+                            || !SweepPlan::is_data_parallel(job.spec.method.software_equivalent()))
                     {
                         attempts.push(RungAttempt {
                             rung,
@@ -2103,9 +2002,14 @@ impl SolveService {
                 let run = match rung {
                     Rung::Detailed => self.run_detailed(job, &stop, remaining),
                     Rung::Reference => self.run_reference(job, &stop, remaining, dur),
-                    Rung::Parallel => self.run_parallel(job, &stop, remaining, dur),
-                    Rung::Tiled => self.run_tiled(job, &stop, remaining, dur),
-                    Rung::Software => self.run_software(job, &stop, remaining, dur),
+                    Rung::Parallel | Rung::Tiled | Rung::Software => self.run_engine(
+                        job,
+                        &stop,
+                        remaining,
+                        dur,
+                        self.sweep_engine(job, rung),
+                        SweepEngine::into_solution,
+                    ),
                     Rung::Krylov => self.run_krylov(job, &stop, remaining, dur),
                     Rung::Estimate => self.run_estimate(job, &stop),
                 };

@@ -14,7 +14,9 @@
 //! * [`Session`] is the single generic driver owning stop-condition
 //!   evaluation, the [`ResidualHistory`], divergence detection, and
 //!   checkpoint/rollback per [`ResiliencePolicy`];
-//! * [`SweepEngine`] adapts the software relaxation sweeps to the trait.
+//! * [`SweepEngine`] adapts the software relaxation sweeps to the trait,
+//!   scheduled serially, in row bands on scoped threads, or as fused
+//!   wavefront epochs by a [`SweepPlan`].
 //!
 //! Hardware-side engines (cycle-accurate simulator, reference semantics,
 //! analytic estimator) live in the `fdmax` core crate and implement the
@@ -22,12 +24,14 @@
 
 use crate::convergence::{Divergence, ResidualHistory, StopCondition};
 use crate::grid::Grid2D;
+use crate::kernels::{checkerboard_row, jacobi_row, row_bands, row_bands_with_min, OffsetRow};
 use crate::pde::{OffsetField, StencilProblem};
 use crate::precision::Scalar;
 use crate::solver::{
     sweep_checkerboard, sweep_gauss_seidel, sweep_hybrid, sweep_jacobi, sweep_sor, UpdateMethod,
 };
 use core::fmt;
+use core::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -269,10 +273,12 @@ impl CancelToken {
 #[derive(Clone, Debug)]
 #[must_use]
 pub struct Budget {
-    /// Maximum engine steps this run may execute (`None` = unlimited).
+    /// Maximum sweeps this run may execute (`None` = unlimited).
     /// Counted in *executed* steps, so rollback replays burn budget too;
     /// the check runs before each step, which means the deadline is
-    /// never overshot by even one iteration.
+    /// never overshot by even one iteration. An engine fusing `k`
+    /// sweeps per step ([`SolveEngine::sweeps_per_step`]) gets
+    /// `ceil(d / k)` steps, its last one truncated at the deadline.
     pub deadline_iterations: Option<usize>,
     /// Wall-clock ceiling measured from the start of
     /// [`Session::run`] (`None` = unlimited). Coarse by design — the
@@ -281,7 +287,9 @@ pub struct Budget {
     /// Cooperative cancellation flag, polled before each step.
     pub cancel: Option<CancelToken>,
     /// Watchdog window (in iterations) for
-    /// [`ResidualHistory::detect_stall`]; 0 disables the watchdog.
+    /// [`ResidualHistory::detect_stall`]; 0 disables the watchdog. The
+    /// history of an engine fusing `k` sweeps per step holds one norm
+    /// per step, so the window spans `max(ceil(w / k), 2)` entries.
     pub stall_window: usize,
     /// Decay the residual must achieve over `stall_window` iterations to
     /// count as progress (see [`ResidualHistory::detect_stall`]).
@@ -411,44 +419,6 @@ impl EngineStateImage {
     }
 }
 
-/// Shared restore path for the double-buffered sweep engines: validates
-/// the image shape, rewrites `cur`/`prev` from the stored bits and
-/// mirrors `cur` into `next` (double-buffered sweeps only ever rewrite
-/// the interior of `next`, so its boundary ring must match `cur`; the
-/// stale interior is fully overwritten before the next read).
-pub(crate) fn restore_sweep_state<T: Scalar>(
-    image: &EngineStateImage,
-    cur: &mut Grid2D<T>,
-    next: &mut Grid2D<T>,
-    prev: &mut Option<Grid2D<T>>,
-    iterations: &mut usize,
-) -> bool {
-    if image.scalar_bytes as usize != T::BYTES
-        || image.rows != cur.rows()
-        || image.cols != cur.cols()
-        || image.cur.len() != cur.as_slice().len()
-        || image.prev.is_some() != prev.is_some()
-        || image
-            .prev
-            .as_ref()
-            .zip(prev.as_ref())
-            .is_some_and(|(src, dst)| src.len() != dst.as_slice().len())
-    {
-        return false;
-    }
-    for (dst, &bits) in cur.as_mut_slice().iter_mut().zip(&image.cur) {
-        *dst = T::from_bits_u64(bits);
-    }
-    next.as_mut_slice().copy_from_slice(cur.as_slice());
-    if let (Some(dst), Some(src)) = (prev.as_mut(), image.prev.as_ref()) {
-        for (d, &bits) in dst.as_mut_slice().iter_mut().zip(src) {
-            *d = T::from_bits_u64(bits);
-        }
-    }
-    *iterations = image.iterations;
-    true
-}
-
 /// One solve backend: anything that can advance a solve by one step.
 ///
 /// The driver ([`Session`]) calls [`begin`](SolveEngine::begin) once,
@@ -463,6 +433,24 @@ pub trait SolveEngine {
 
     /// Completed iterations so far.
     fn iterations(&self) -> usize;
+
+    /// Sweeps one [`step`](SolveEngine::step) advances
+    /// [`iterations`](SolveEngine::iterations) by (1 unless the engine
+    /// fuses sweeps). A [`Session`] reads its [`Budget`]'s iteration
+    /// deadline and stall window in sweeps and converts them to steps
+    /// with this figure.
+    fn sweeps_per_step(&self) -> usize {
+        1
+    }
+
+    /// Bounds [`iterations`](SolveEngine::iterations) at `cap`: an
+    /// engine fusing several sweeps per step truncates its final step
+    /// there instead of overshooting. A [`Session`] calls it once per
+    /// run with the ceiling of its stop condition and budget; a no-op
+    /// for stride-1 engines.
+    fn cap_iterations(&mut self, cap: usize) {
+        let _ = cap;
+    }
 
     /// Whether [`checkpoint`](SolveEngine::checkpoint)/
     /// [`rollback`](SolveEngine::rollback) actually snapshot state.
@@ -509,6 +497,12 @@ impl<E: SolveEngine + ?Sized> SolveEngine for &mut E {
     }
     fn iterations(&self) -> usize {
         (**self).iterations()
+    }
+    fn sweeps_per_step(&self) -> usize {
+        (**self).sweeps_per_step()
+    }
+    fn cap_iterations(&mut self, cap: usize) {
+        (**self).cap_iterations(cap);
     }
     fn supports_checkpoint(&self) -> bool {
         (**self).supports_checkpoint()
@@ -564,6 +558,9 @@ pub struct Session<'cb, E: SolveEngine> {
     budget: Budget,
     history: ResidualHistory,
     executed: usize,
+    /// Sweeps executed by the run: `executed` weighted by how far each
+    /// step advanced the engine's iteration count.
+    swept: usize,
     /// Absolute-iteration period of the state sink (0 = never).
     sink_interval: usize,
     /// Observer handed a fresh [`EngineStateImage`] every
@@ -612,6 +609,7 @@ impl<E: SolveEngine + fmt::Debug> fmt::Debug for Session<'_, E> {
             .field("budget", &self.budget)
             .field("history", &self.history)
             .field("executed", &self.executed)
+            .field("swept", &self.swept)
             .field("sink_interval", &self.sink_interval)
             .field("sink", &self.sink.as_ref().map(|_| "FnMut(..)"))
             .finish()
@@ -628,6 +626,7 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
             budget: Budget::unlimited(),
             history: ResidualHistory::new(),
             executed: 0,
+            swept: 0,
             sink_interval: 0,
             sink: None,
             in_flight: None,
@@ -687,6 +686,13 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
     /// count here: work discarded by a rollback was still performed.
     pub fn steps_executed(&self) -> usize {
         self.executed
+    }
+
+    /// Sweeps actually executed by the last [`Session::run`]: equal to
+    /// [`Session::steps_executed`] for stride-1 engines, the summed
+    /// epoch lengths for an engine fusing sweeps. Rollback replays count.
+    pub fn sweeps_executed(&self) -> usize {
+        self.swept
     }
 
     /// Consumes the session, returning the engine and the recorded
@@ -773,7 +779,18 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
                     state.ckpt_iteration = self.engine.iterations();
                 }
             }
+            // A fused-sweep engine must land exactly on the stop
+            // condition's cap and the deadline, not overshoot them by a
+            // partial epoch.
+            let max = self.stop.max_iterations();
+            let base = self.engine.iterations();
+            let ceiling = self
+                .budget
+                .deadline_iterations
+                .map_or(max, |d| base.saturating_add(d).min(max));
+            self.engine.cap_iterations(ceiling);
             self.executed = 0;
+            self.swept = 0;
             self.in_flight = Some(state);
         }
         match self.run_slice(max_steps) {
@@ -811,6 +828,13 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
         state: &mut LoopState,
     ) -> Result<SessionPoll, EngineError> {
         let max = self.stop.max_iterations();
+        // Budgets count sweeps; convert them to this engine's steps.
+        let k = self.engine.sweeps_per_step().max(1);
+        let deadline_steps = self.budget.deadline_iterations.map(|d| d.div_ceil(k));
+        let stall_window = match self.budget.stall_window {
+            w if w > 0 && k > 1 => w.div_ceil(k).max(2),
+            w => w,
+        };
         let mut slice_steps = 0usize;
         let mut met = false;
         while self.engine.iterations() < max {
@@ -825,7 +849,7 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
                 if b.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                     return Err(EngineError::Cancelled { iteration });
                 }
-                if b.deadline_iterations.is_some_and(|d| self.executed >= d) {
+                if deadline_steps.is_some_and(|d| self.executed >= d) {
                     return Err(EngineError::DeadlineExceeded { iteration });
                 }
                 if let (Some(ceiling), Some(start)) = (b.max_wall, state.wall_start) {
@@ -843,6 +867,7 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
                 self.history.push(norm);
             }
             let iteration = self.engine.iterations();
+            self.swept += iteration.saturating_sub(iter_before);
 
             if let Some(p) = &self.policy {
                 let trouble = match out.fault {
@@ -885,10 +910,10 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
                 return Err(EngineError::NonFinite { iteration });
             }
 
-            if self.budget.stall_window > 0 {
+            if stall_window > 0 {
                 if let Some(at) = self
                     .history
-                    .detect_stall(self.budget.stall_window, self.budget.stall_min_decay)
+                    .detect_stall(stall_window, self.budget.stall_min_decay)
                 {
                     return Err(EngineError::Stalled { iteration: at });
                 }
@@ -901,8 +926,8 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
             }
 
             // Interval firings use *crossing* semantics so multi-sweep
-            // steps (the tiled engine advances `iterations` by a whole
-            // epoch) still fire when a step jumps over an interval
+            // steps (a wavefront epoch advances `iterations` by several
+            // sweeps) still fire when a step jumps over an interval
             // multiple. Stride-1 engines behave exactly as before.
             let crossed = |interval: usize| iteration / interval > iter_before / interval;
 
@@ -941,6 +966,83 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
     }
 }
 
+/// How a [`SweepEngine`] schedules its sweeps: the software analogue of
+/// FDMAX's elastic reconfiguration of one PE array into `1×(C·k)`
+/// chains — one operator, with the worker count and the fused-sweep
+/// depth as parameters instead of separate engine types.
+///
+/// | plan | Jacobi, checkerboard | Hybrid, Gauss-Seidel, SOR |
+/// |---|---|---|
+/// | one band, `tile_depth == 1` | serial sweeps | serial sweeps |
+/// | several bands, `tile_depth == 1` | banded step on scoped threads | serial sweeps |
+/// | `tile_depth > 1` | wavefront epoch of `tile_depth` fused sweeps ([`crate::tiled`]) | serial sweeps |
+///
+/// The serial and banded schedules are bit-identical, fields and
+/// residual histories, at any thread count. The wavefront is
+/// bit-identical at the same sweep counts in practice; its documented
+/// contract is ≤1e-12 relative (f64), so a future tile schedule may
+/// regroup within an epoch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct SweepPlan {
+    /// Most worker bands the interior is split into (0 counts as 1).
+    pub threads: usize,
+    /// Sweeps fused per cache pass (0 counts as 1; 1 disables temporal
+    /// tiling).
+    pub tile_depth: usize,
+}
+
+impl SweepPlan {
+    /// One band, one sweep per step: the plain serial sweeps.
+    pub const SERIAL: SweepPlan = SweepPlan {
+        threads: 1,
+        tile_depth: 1,
+    };
+
+    /// `true` for the data-parallel sweeps (Jacobi, checkerboard), the
+    /// only ones a plan bands or tiles. The ordered sweeps (Hybrid,
+    /// Gauss-Seidel, SOR) carry a loop dependency across rows that
+    /// neither the bands nor the wavefront can legally reorder.
+    #[must_use]
+    pub fn is_data_parallel(method: UpdateMethod) -> bool {
+        matches!(method, UpdateMethod::Jacobi | UpdateMethod::Checkerboard)
+    }
+
+    /// The interior row bands a `rows`-row grid is swept in: up to
+    /// `threads` contiguous bands ([`row_bands`]) floored at the tile
+    /// depth, so no band is narrower than the halo its wavefront skews
+    /// across ([`row_bands_with_min`]); one band for the ordered
+    /// methods. The race certifier (`fdmax::analysis::BandPlan`) derives
+    /// its geometry here too.
+    #[must_use]
+    pub fn bands(self, rows: usize, method: UpdateMethod) -> Vec<Range<usize>> {
+        if Self::is_data_parallel(method) {
+            row_bands_with_min(rows, self.threads.max(1), self.tile_depth.max(1))
+        } else {
+            row_bands(rows, 1)
+        }
+    }
+}
+
+/// Which of the three step schedules a [`SweepEngine`]'s plan selects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Schedule {
+    /// The serial sweeps of [`crate::solver`].
+    Serial,
+    /// One sweep with the bands on scoped threads.
+    Banded,
+    /// Fused epochs over the skewed row wavefront of [`crate::tiled`].
+    Wavefront,
+}
+
+/// Sub-levels of an `e`-sweep wavefront epoch: one per Jacobi sweep, two
+/// per checkerboard sweep (one per parity phase).
+fn levels(method: UpdateMethod, e: usize) -> usize {
+    match method {
+        UpdateMethod::Checkerboard => 2 * e,
+        _ => e,
+    }
+}
+
 /// Copies `cur`'s Dirichlet boundary ring (top/bottom rows, left/right
 /// columns) into `next`.
 ///
@@ -976,322 +1078,157 @@ struct SweepCheckpoint<T> {
     iterations: usize,
 }
 
-/// The software relaxation sweeps as a [`SolveEngine`].
+/// The software relaxation sweeps as a [`SolveEngine`], scheduled by a
+/// [`SweepPlan`].
 ///
-/// One step is one sweep of the chosen [`UpdateMethod`] with the
-/// canonical stencil evaluation order (bit-exact with the hardware
-/// model's f32 arithmetic). Buffers rotate by pointer swap; the only
-/// per-iteration copy is the `prev` snapshot the wave equation's
-/// in-place methods need, kept in a reused scratch buffer.
+/// Every schedule evaluates rows with the same [`crate::kernels`] row
+/// kernels in the canonical stencil order (bit-exact with the hardware
+/// model's f32 arithmetic) and folds diff² partials in the serial
+/// accumulation order:
+///
+/// * **Serial** — one sweep of the chosen [`UpdateMethod`] per step.
+/// * **Banded** — the interior is split into contiguous row bands, one
+///   per worker, exactly as the elastic reconfiguration assigns row
+///   strips to chained subarrays; the rows adjacent to a band boundary
+///   play the role of the `HaloAdders`' one-row halo exchange. Bands
+///   run on [`std::thread::scope`] and record per-row diff² partials
+///   that are folded in ascending row order after the join. Jacobi
+///   parallelises trivially (every output row depends only on the
+///   previous iterate); a checkerboard phase-`p` update reads only
+///   opposite-parity neighbours, which the running phase never writes,
+///   so pre-phase halo snapshots stay valid for the whole phase.
+/// * **Wavefront** — one step is an *epoch* of `e = min(tile_depth,
+///   cap - iterations)` fused sweeps ([`crate::tiled`]):
+///   [`SolveEngine::iterations`] advances by `e` and the norm is the
+///   last fused sweep's, so residual histories are epoch-granular.
+///
+/// Buffers rotate by pointer swap; the only per-step copy is the wave
+/// history snapshot, kept in a reused scratch buffer.
 #[derive(Debug)]
 pub struct SweepEngine<'p, T: Scalar> {
     problem: &'p StencilProblem<T>,
     method: UpdateMethod,
+    plan: SweepPlan,
+    schedule: Schedule,
+    /// Sweeps per step: the tile depth under the wavefront, else 1.
+    depth: usize,
+    /// Iteration count the final wavefront epoch truncates at.
+    cap: Option<usize>,
     cur: Grid2D<T>,
     next: Grid2D<T>,
     prev: Option<Grid2D<T>>,
+    /// Wave-history staging, rotated into `prev` after each step: the
+    /// pre-sweep field of an in-place sweep, or the field after a
+    /// wavefront epoch's second-to-last sweep.
     scratch: Option<Grid2D<T>>,
     uses_prev: bool,
     iterations: usize,
     saved: Option<SweepCheckpoint<T>>,
+    /// Interior row bands, fixed at construction.
+    bands: Vec<Range<usize>>,
+    /// Per-row (banded) or per-(row, sub-level) (wavefront, stride =
+    /// the epoch's level count) diff² partials, index = absolute row.
+    partials: Vec<f64>,
+    /// Banded checkerboard: pre-phase snapshots of the rows above and
+    /// below each band (the `HaloAdder` analogue).
+    halos: Vec<(Vec<T>, Vec<T>)>,
 }
 
 impl<'p, T: Scalar> SweepEngine<'p, T> {
-    /// Prepares a sweep engine on `problem`.
+    /// A serial sweep engine on `problem`: [`SweepEngine::with_plan`]
+    /// with [`SweepPlan::SERIAL`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SweepEngine::with_plan`].
+    pub fn new(problem: &'p StencilProblem<T>, method: UpdateMethod) -> Self {
+        Self::with_plan(problem, method, SweepPlan::SERIAL)
+    }
+
+    /// Prepares a sweep engine on `problem` scheduled by `plan`. The
+    /// ordered methods (see [`SweepPlan::is_data_parallel`]) always run
+    /// the serial sweeps.
     ///
     /// # Panics
     ///
     /// Panics when an SOR factor lies outside `(0, 2)`, or when a
     /// `ScaledPrevField` offset (wave equation) comes without
     /// `prev_initial`.
-    pub fn new(problem: &'p StencilProblem<T>, method: UpdateMethod) -> Self {
+    pub fn with_plan(
+        problem: &'p StencilProblem<T>,
+        method: UpdateMethod,
+        plan: SweepPlan,
+    ) -> Self {
         if let UpdateMethod::Sor { omega } = method {
             assert!(
                 omega > 0.0 && omega < 2.0,
                 "SOR requires omega in (0, 2), got {omega}"
             );
         }
-        let cur = problem.initial.clone();
-        let next = cur.clone();
-        let prev = problem.prev_initial.clone();
         let uses_prev = matches!(problem.offset, OffsetField::ScaledPrevField { .. });
-        if uses_prev {
-            assert!(
-                prev.is_some(),
-                "a ScaledPrevField offset requires prev_initial"
-            );
-        }
+        assert!(
+            !uses_prev || problem.prev_initial.is_some(),
+            "a ScaledPrevField offset requires prev_initial"
+        );
+        let plan = SweepPlan {
+            threads: plan.threads.max(1),
+            tile_depth: plan.tile_depth.max(1),
+        };
+        let cur = problem.initial.clone();
+        let rows = cur.rows();
+        let depth = if SweepPlan::is_data_parallel(method) {
+            plan.tile_depth
+        } else {
+            1
+        };
+        let bands = plan.bands(rows, method);
+        let schedule = if depth > 1 {
+            Schedule::Wavefront
+        } else if bands.len() > 1 {
+            Schedule::Banded
+        } else {
+            Schedule::Serial
+        };
+        let partials = match schedule {
+            Schedule::Serial => Vec::new(),
+            Schedule::Banded => vec![0.0; rows],
+            Schedule::Wavefront => vec![0.0; rows * levels(method, depth)],
+        };
+        let halos = if schedule == Schedule::Banded && method == UpdateMethod::Checkerboard {
+            let row = vec![T::ZERO; cur.cols()];
+            vec![(row.clone(), row); bands.len()]
+        } else {
+            Vec::new()
+        };
         SweepEngine {
             problem,
             method,
+            plan,
+            schedule,
+            depth,
+            cap: None,
+            next: cur.clone(),
             cur,
-            next,
-            prev,
-            scratch: None,
-            uses_prev,
-            iterations: 0,
-            saved: None,
-        }
-    }
-
-    /// The current field `U^k`.
-    pub fn solution(&self) -> &Grid2D<T> {
-        &self.cur
-    }
-
-    /// Consumes the engine, returning the final field.
-    pub fn into_solution(self) -> Grid2D<T> {
-        self.cur
-    }
-
-    /// The update method being swept.
-    pub fn method(&self) -> UpdateMethod {
-        self.method
-    }
-}
-
-impl<T: Scalar> SolveEngine for SweepEngine<'_, T> {
-    fn step(&mut self) -> StepOutcome {
-        let problem = self.problem;
-        // The wave rotation cycles `prev_initial`'s buffer in as the
-        // write target: re-pin its boundary ring to the solution's.
-        if self.uses_prev && matches!(self.method, UpdateMethod::Jacobi | UpdateMethod::Hybrid) {
-            refresh_boundary_ring(&mut self.next, &self.cur);
-        }
-        let diff2 = match self.method {
-            UpdateMethod::Jacobi => sweep_jacobi(
-                &problem.stencil,
-                &problem.offset,
-                &self.cur,
-                self.prev.as_ref(),
-                &mut self.next,
-            ),
-            UpdateMethod::Hybrid => sweep_hybrid(
-                &problem.stencil,
-                &problem.offset,
-                &self.cur,
-                self.prev.as_ref(),
-                &mut self.next,
-            ),
-            UpdateMethod::GaussSeidel | UpdateMethod::Checkerboard | UpdateMethod::Sor { .. } => {
-                // In-place sweeps: when the wave history is live, keep the
-                // pre-sweep field in a reused scratch buffer (no
-                // per-iteration allocation) and rotate it into `prev`.
-                if self.uses_prev {
-                    match &mut self.scratch {
-                        Some(s) => s.as_mut_slice().copy_from_slice(self.cur.as_slice()),
-                        None => self.scratch = Some(self.cur.clone()),
-                    }
-                }
-                let d = match self.method {
-                    UpdateMethod::GaussSeidel => sweep_gauss_seidel(
-                        &problem.stencil,
-                        &problem.offset,
-                        &mut self.cur,
-                        self.prev.as_ref(),
-                    ),
-                    UpdateMethod::Checkerboard => sweep_checkerboard(
-                        &problem.stencil,
-                        &problem.offset,
-                        &mut self.cur,
-                        self.prev.as_ref(),
-                    ),
-                    UpdateMethod::Sor { omega } => sweep_sor(
-                        &problem.stencil,
-                        &problem.offset,
-                        &mut self.cur,
-                        self.prev.as_ref(),
-                        omega,
-                    ),
-                    _ => unreachable!("outer match restricts to in-place methods"),
-                };
-                if self.uses_prev {
-                    core::mem::swap(
-                        self.prev.as_mut().expect("checked in new"),
-                        self.scratch.as_mut().expect("filled above"),
-                    );
-                }
-                d
-            }
-        };
-
-        // Double-buffered methods rotate cur/next (and prev for the wave
-        // equation); in-place methods already updated `cur` above.
-        if matches!(self.method, UpdateMethod::Jacobi | UpdateMethod::Hybrid) {
-            if self.uses_prev {
-                core::mem::swap(&mut self.cur, self.prev.as_mut().expect("checked in new"));
-            }
-            core::mem::swap(&mut self.cur, &mut self.next);
-        }
-
-        self.iterations += 1;
-        StepOutcome::clean(diff2.sqrt())
-    }
-
-    fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    fn supports_checkpoint(&self) -> bool {
-        true
-    }
-
-    fn checkpoint(&mut self) {
-        self.saved = Some(SweepCheckpoint {
-            cur: self.cur.clone(),
-            next: self.next.clone(),
-            prev: self.prev.clone(),
-            iterations: self.iterations,
-        });
-    }
-
-    fn rollback(&mut self) -> bool {
-        match &self.saved {
-            Some(ckpt) => {
-                self.cur.as_mut_slice().copy_from_slice(ckpt.cur.as_slice());
-                self.next
-                    .as_mut_slice()
-                    .copy_from_slice(ckpt.next.as_slice());
-                match (&mut self.prev, &ckpt.prev) {
-                    (Some(dst), Some(src)) => dst.as_mut_slice().copy_from_slice(src.as_slice()),
-                    (dst, src) => *dst = src.clone(),
-                }
-                self.iterations = ckpt.iterations;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn export_state(&self) -> Option<EngineStateImage> {
-        Some(EngineStateImage::capture(
-            self.iterations,
-            &self.cur,
-            self.prev.as_ref(),
-        ))
-    }
-
-    fn restore_state(&mut self, image: &EngineStateImage) -> bool {
-        let ok = restore_sweep_state(
-            image,
-            &mut self.cur,
-            &mut self.next,
-            &mut self.prev,
-            &mut self.iterations,
-        );
-        if ok {
-            self.saved = None;
-        }
-        ok
-    }
-}
-
-/// Strip-parallel software sweeps: the software analogue of FDMAX's
-/// elastic `1×(C·k)` subarray chains.
-///
-/// The grid interior is decomposed into contiguous row bands
-/// ([`crate::kernels::row_bands`]), one per worker, exactly as the elastic
-/// reconfiguration assigns row strips to chained subarrays; the rows
-/// adjacent to a band boundary play the role of the `HaloAdders`' one-row
-/// halo exchange. Bands run on [`std::thread::scope`] — no runtime
-/// dependency — and each band records its per-row diff² partials into a
-/// row-indexed buffer that is folded *in ascending row order* after the
-/// join. Because every row partial is produced by the same
-/// [`crate::kernels`] row kernel the serial [`SweepEngine`] drives, and the
-/// fold order equals the serial accumulation order, Jacobi and
-/// checkerboard results — grids *and* residual histories — are
-/// bit-identical to the serial engine at any thread count.
-///
-/// * **Jacobi** parallelises trivially: every output row depends only on
-///   the previous iterate.
-/// * **Checkerboard** parallelises exactly: a phase-`p` update at
-///   `(i, j)` reads only opposite-parity neighbours, which the running
-///   phase never writes, so pre-phase halo snapshots stay valid for the
-///   whole phase and band-local reads match what a serial ascending
-///   sweep would have seen.
-/// * **Hybrid, Gauss-Seidel and SOR** carry a loop dependency across
-///   rows; they fall back to the serial kernels (still one band) so the
-///   engine stays a drop-in replacement for every [`UpdateMethod`].
-#[derive(Debug)]
-pub struct ParallelSweepEngine<'p, T: Scalar> {
-    problem: &'p StencilProblem<T>,
-    method: UpdateMethod,
-    threads: usize,
-    cur: Grid2D<T>,
-    next: Grid2D<T>,
-    prev: Option<Grid2D<T>>,
-    scratch: Option<Grid2D<T>>,
-    uses_prev: bool,
-    iterations: usize,
-    saved: Option<SweepCheckpoint<T>>,
-    /// Interior row bands, recomputed once at construction.
-    bands: Vec<core::ops::Range<usize>>,
-    /// Per-row diff² partials, folded in ascending row order after a
-    /// parallel sweep (index = absolute row).
-    row_diff2: Vec<f64>,
-    /// Pre-phase snapshots of the row above / below each band, refreshed
-    /// per checkerboard phase (the `HaloAdder` analogue).
-    halo_up: Vec<Vec<T>>,
-    halo_down: Vec<Vec<T>>,
-}
-
-impl<'p, T: Scalar> ParallelSweepEngine<'p, T> {
-    /// Prepares a strip-parallel sweep engine on `problem` with at most
-    /// `threads` worker bands (clamped to at least 1 and at most the
-    /// interior height).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`SweepEngine::new`].
-    pub fn new(problem: &'p StencilProblem<T>, method: UpdateMethod, threads: usize) -> Self {
-        if let UpdateMethod::Sor { omega } = method {
-            assert!(
-                omega > 0.0 && omega < 2.0,
-                "SOR requires omega in (0, 2), got {omega}"
-            );
-        }
-        let cur = problem.initial.clone();
-        let next = cur.clone();
-        let prev = problem.prev_initial.clone();
-        let uses_prev = matches!(problem.offset, OffsetField::ScaledPrevField { .. });
-        if uses_prev {
-            assert!(
-                prev.is_some(),
-                "a ScaledPrevField offset requires prev_initial"
-            );
-        }
-        let threads = threads.max(1);
-        let bands = if matches!(method, UpdateMethod::Jacobi | UpdateMethod::Checkerboard) {
-            crate::kernels::row_bands(cur.rows(), threads)
-        } else {
-            // Serial-fallback methods keep a single band.
-            crate::kernels::row_bands(cur.rows(), 1)
-        };
-        let (halo_up, halo_down) = if matches!(method, UpdateMethod::Checkerboard) {
-            (
-                bands.iter().map(|_| vec![T::ZERO; cur.cols()]).collect(),
-                bands.iter().map(|_| vec![T::ZERO; cur.cols()]).collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let row_diff2 = vec![0.0; cur.rows()];
-        ParallelSweepEngine {
-            problem,
-            method,
-            threads,
-            cur,
-            next,
-            prev,
+            prev: problem.prev_initial.clone(),
             scratch: None,
             uses_prev,
             iterations: 0,
             saved: None,
             bands,
-            row_diff2,
-            halo_up,
-            halo_down,
+            partials,
+            halos,
         }
+    }
+
+    /// Caps total iterations: the final wavefront epoch truncates to
+    /// `cap - iterations` fused sweeps so the engine lands exactly on
+    /// the cap (a tolerance budget or service deadline) instead of
+    /// overshooting by up to `tile_depth - 1` sweeps. A [`Session`]
+    /// applies its own ceiling through [`SolveEngine::cap_iterations`].
+    #[must_use]
+    pub fn with_iteration_cap(mut self, cap: usize) -> Self {
+        self.cap = Some(cap);
+        self
     }
 
     /// The current field `U^k`.
@@ -1309,51 +1246,135 @@ impl<'p, T: Scalar> ParallelSweepEngine<'p, T> {
         self.method
     }
 
-    /// The requested worker count (bands actually used may be fewer on
-    /// short grids).
-    pub fn threads(&self) -> usize {
-        self.threads
+    /// The plan as requested (both fields at least 1); the bands
+    /// actually swept may be fewer on short grids.
+    pub fn plan(&self) -> SweepPlan {
+        self.plan
     }
 
     /// The band plan actually swept: ascending, disjoint, contiguous
-    /// interior row ranges. The static race certifier
-    /// (`fdmax::analysis`) re-derives and certifies exactly this
-    /// geometry.
-    pub fn bands(&self) -> &[core::ops::Range<usize>] {
+    /// interior row ranges ([`SweepPlan::bands`]). The static race
+    /// certifier (`fdmax::analysis`) certifies exactly this geometry.
+    pub fn bands(&self) -> &[Range<usize>] {
         &self.bands
     }
 
-    /// One parallel Jacobi sweep: bands write disjoint chunks of `next`
-    /// and disjoint chunks of the diff² buffer; the fold after the join
-    /// runs in ascending row order, matching the serial accumulation.
-    fn step_jacobi_parallel(&mut self) -> f64 {
+    /// Row-slots each full-depth wavefront epoch computes *beyond* the
+    /// owned interior — the trapezoid halo recomputation the strips pay
+    /// to avoid per-sweep synchronisation (0 for the other schedules).
+    /// This is the quantity the FDX022 geometry lint bounds: when it
+    /// reaches the useful work (`interior × levels`), the halo has
+    /// consumed the interior.
+    #[must_use]
+    pub fn redundant_halo_rows_per_epoch(&self) -> usize {
+        if self.schedule != Schedule::Wavefront {
+            return 0;
+        }
+        let rows = self.cur.rows();
+        let s = levels(self.method, self.depth);
+        let mut redundant = 0usize;
+        for band in &self.bands {
+            for l in 1..=s {
+                let lo = band.start.saturating_sub(s - l).max(1);
+                let hi = (band.end + (s - l)).min(rows - 1);
+                redundant += (hi - lo) - band.len();
+            }
+        }
+        redundant
+    }
+
+    /// Fused sweeps the next wavefront epoch will execute.
+    fn epoch_len(&self) -> usize {
+        match self.cap {
+            Some(c) if c > self.iterations => self.depth.min(c - self.iterations),
+            Some(_) => 1,
+            None => self.depth,
+        }
+    }
+
+    /// One serial or banded sweep, wave-history rotation included.
+    fn sweep(&mut self) -> f64 {
+        let problem = self.problem;
+        let (stencil, offset) = (&problem.stencil, &problem.offset);
+        let banded = self.schedule == Schedule::Banded;
+        if matches!(self.method, UpdateMethod::Jacobi | UpdateMethod::Hybrid) {
+            // The wave rotation cycles `prev_initial`'s buffer in as the
+            // write target: re-pin its boundary ring to the solution's.
+            if self.uses_prev {
+                refresh_boundary_ring(&mut self.next, &self.cur);
+            }
+            let prev = self.prev.as_ref();
+            let diff2 = match self.method {
+                UpdateMethod::Jacobi if banded => self.banded_jacobi(),
+                UpdateMethod::Jacobi => {
+                    sweep_jacobi(stencil, offset, &self.cur, prev, &mut self.next)
+                }
+                _ => sweep_hybrid(stencil, offset, &self.cur, prev, &mut self.next),
+            };
+            // Double-buffered: rotate cur/next, and prev for the wave.
+            if self.uses_prev {
+                core::mem::swap(&mut self.cur, self.prev.as_mut().expect("checked in new"));
+            }
+            core::mem::swap(&mut self.cur, &mut self.next);
+            return diff2;
+        }
+        // In-place sweeps: when the wave history is live, keep the
+        // pre-sweep field in the reused scratch buffer (no per-step
+        // allocation) and rotate it into `prev`.
+        if self.uses_prev {
+            match &mut self.scratch {
+                Some(s) => s.as_mut_slice().copy_from_slice(self.cur.as_slice()),
+                None => self.scratch = Some(self.cur.clone()),
+            }
+        }
+        let diff2 = match self.method {
+            UpdateMethod::Checkerboard if banded => self.banded_checkerboard(),
+            UpdateMethod::Checkerboard => {
+                sweep_checkerboard(stencil, offset, &mut self.cur, self.prev.as_ref())
+            }
+            UpdateMethod::GaussSeidel => {
+                sweep_gauss_seidel(stencil, offset, &mut self.cur, self.prev.as_ref())
+            }
+            UpdateMethod::Sor { omega } => {
+                sweep_sor(stencil, offset, &mut self.cur, self.prev.as_ref(), omega)
+            }
+            UpdateMethod::Jacobi | UpdateMethod::Hybrid => unreachable!("double-buffered above"),
+        };
+        if self.uses_prev {
+            core::mem::swap(
+                self.prev.as_mut().expect("checked in new"),
+                self.scratch.as_mut().expect("filled above"),
+            );
+        }
+        diff2
+    }
+
+    /// One banded Jacobi sweep: bands write disjoint chunks of `next`
+    /// and of the partials; the fold after the join runs in ascending
+    /// row order, matching the serial accumulation.
+    fn banded_jacobi(&mut self) -> f64 {
         let problem = self.problem;
         let stencil = &problem.stencil;
         let offset = &problem.offset;
         let prev = self.prev.as_ref();
         let cur = &self.cur;
         let (rows, cols) = (cur.rows(), cur.cols());
-        if self.bands.is_empty() {
-            return 0.0;
-        }
         let mut out_rem = &mut self.next.as_mut_slice()[cols..(rows - 1) * cols];
-        let mut d_rem = &mut self.row_diff2[1..rows - 1];
-        let mut work: Vec<(core::ops::Range<usize>, &mut [T], &mut [f64])> =
+        let mut d_rem = &mut self.partials[1..rows - 1];
+        let mut work: Vec<(Range<usize>, &mut [T], &mut [f64])> =
             Vec::with_capacity(self.bands.len());
         for band in &self.bands {
             let h = band.len();
-            let tmp = core::mem::take(&mut out_rem);
-            let (out, rest) = tmp.split_at_mut(h * cols);
+            let (out, rest) = core::mem::take(&mut out_rem).split_at_mut(h * cols);
             out_rem = rest;
-            let tmp = core::mem::take(&mut d_rem);
-            let (d, rest) = tmp.split_at_mut(h);
+            let (d, rest) = core::mem::take(&mut d_rem).split_at_mut(h);
             d_rem = rest;
             work.push((band.clone(), out, d));
         }
-        let run_band = |band: core::ops::Range<usize>, out: &mut [T], d: &mut [f64]| {
+        let run_band = |band: Range<usize>, out: &mut [T], d: &mut [f64]| {
             for (r, i) in band.enumerate() {
-                let b = crate::kernels::OffsetRow::for_row(offset, prev, i);
-                d[r] = crate::kernels::jacobi_row(
+                let b = OffsetRow::for_row(offset, prev, i);
+                d[r] = jacobi_row(
                     stencil,
                     cur.row(i - 1),
                     cur.row(i),
@@ -1363,62 +1384,46 @@ impl<'p, T: Scalar> ParallelSweepEngine<'p, T> {
                 );
             }
         };
-        if work.len() == 1 {
-            let (band, out, d) = work.pop().expect("one band");
-            run_band(band, out, d);
-        } else {
-            let run_band = &run_band;
-            std::thread::scope(|s| {
-                for (band, out, d) in work {
-                    s.spawn(move || run_band(band, out, d));
-                }
-            });
-        }
-        crate::ops::fold_partials(&self.row_diff2[1..rows - 1])
+        std::thread::scope(|s| {
+            for (band, out, d) in work {
+                s.spawn(move || run_band(band, out, d));
+            }
+        });
+        crate::ops::fold_partials(&self.partials[1..rows - 1])
     }
 
-    /// One parallel checkerboard sweep, two phases. Per phase: snapshot
+    /// One banded checkerboard sweep, two phases. Per phase: snapshot
     /// band-edge halo rows, update all bands concurrently in place, then
     /// fold the phase's per-row partials ascending — the exact serial
     /// order `phase-0 rows 1..n, phase-1 rows 1..n`.
-    fn step_checkerboard_parallel(&mut self) -> f64 {
+    fn banded_checkerboard(&mut self) -> f64 {
         let problem = self.problem;
         let stencil = &problem.stencil;
         let offset = &problem.offset;
         let (rows, cols) = (self.cur.rows(), self.cur.cols());
-        if self.bands.is_empty() {
-            return 0.0;
-        }
         let mut total = 0.0f64;
         for parity in [0usize, 1] {
             // Pre-phase halo snapshots: valid for the whole phase because
             // a phase only writes its own parity and only reads the other.
-            for (k, band) in self.bands.iter().enumerate() {
-                self.halo_up[k].copy_from_slice(self.cur.row(band.start - 1));
-                self.halo_down[k].copy_from_slice(self.cur.row(band.end));
+            for (band, (up, down)) in self.bands.iter().zip(&mut self.halos) {
+                up.copy_from_slice(self.cur.row(band.start - 1));
+                down.copy_from_slice(self.cur.row(band.end));
             }
             let prev = self.prev.as_ref();
             let mut field_rem = &mut self.cur.as_mut_slice()[cols..(rows - 1) * cols];
-            let mut d_rem = &mut self.row_diff2[1..rows - 1];
+            let mut d_rem = &mut self.partials[1..rows - 1];
             #[allow(clippy::type_complexity)]
-            let mut work: Vec<(
-                core::ops::Range<usize>,
-                &mut [T],
-                &mut [f64],
-                &[T],
-                &[T],
-            )> = Vec::with_capacity(self.bands.len());
-            for (k, band) in self.bands.iter().enumerate() {
+            let mut work: Vec<(Range<usize>, &mut [T], &mut [f64], &[T], &[T])> =
+                Vec::with_capacity(self.bands.len());
+            for (band, (up, down)) in self.bands.iter().zip(&self.halos) {
                 let h = band.len();
-                let tmp = core::mem::take(&mut field_rem);
-                let (chunk, rest) = tmp.split_at_mut(h * cols);
+                let (chunk, rest) = core::mem::take(&mut field_rem).split_at_mut(h * cols);
                 field_rem = rest;
-                let tmp = core::mem::take(&mut d_rem);
-                let (d, rest) = tmp.split_at_mut(h);
+                let (d, rest) = core::mem::take(&mut d_rem).split_at_mut(h);
                 d_rem = rest;
-                work.push((band.clone(), chunk, d, &self.halo_up[k], &self.halo_down[k]));
+                work.push((band.clone(), chunk, d, up, down));
             }
-            let run_band = |band: core::ops::Range<usize>,
+            let run_band = |band: Range<usize>,
                             chunk: &mut [T],
                             d: &mut [f64],
                             up_halo: &[T],
@@ -1426,7 +1431,7 @@ impl<'p, T: Scalar> ParallelSweepEngine<'p, T> {
                 let h = band.len();
                 for r in 0..h {
                     let i = band.start + r;
-                    let b = crate::kernels::OffsetRow::for_row(offset, prev, i);
+                    let b = OffsetRow::for_row(offset, prev, i);
                     let start = if (i + parity) % 2 == 1 { 1 } else { 2 };
                     let (head, rest) = chunk.split_at_mut(r * cols);
                     let (mid, tail) = rest.split_at_mut(cols);
@@ -1436,90 +1441,159 @@ impl<'p, T: Scalar> ParallelSweepEngine<'p, T> {
                         &head[(r - 1) * cols..]
                     };
                     let down: &[T] = if r + 1 == h { down_halo } else { &tail[..cols] };
-                    d[r] = crate::kernels::checkerboard_row(stencil, up, mid, down, b, start);
+                    d[r] = checkerboard_row(stencil, up, mid, down, b, start);
                 }
             };
-            if work.len() == 1 {
-                let (band, chunk, d, hu, hd) = work.pop().expect("one band");
-                run_band(band, chunk, d, hu, hd);
-            } else {
-                let run_band = &run_band;
-                std::thread::scope(|s| {
-                    for (band, chunk, d, hu, hd) in work {
-                        s.spawn(move || run_band(band, chunk, d, hu, hd));
-                    }
-                });
-            }
-            total = crate::ops::fold_partials_from(total, &self.row_diff2[1..rows - 1]);
+            std::thread::scope(|s| {
+                for (band, chunk, d, up, down) in work {
+                    s.spawn(move || run_band(band, chunk, d, up, down));
+                }
+            });
+            total = crate::ops::fold_partials_from(total, &self.partials[1..rows - 1]);
         }
+        total
+    }
+
+    /// One wavefront epoch of `e` fused sweeps ([`crate::tiled`]).
+    /// Returns the *last* sweep's diff², folded in the exact serial
+    /// accumulation order, and rotates the buffers as `e` serial sweeps
+    /// would.
+    fn wavefront_epoch(&mut self, e: usize) -> f64 {
+        let (rows, cols) = (self.cur.rows(), self.cur.cols());
+        if self.bands.is_empty() {
+            return 0.0;
+        }
+        let method = self.method;
+        let s = levels(method, e);
+        // Sub-level whose field becomes the epoch's history (`prev`):
+        // the field after sweep e-1, i.e. level e-1 (Jacobi) or phase
+        // 2e-2 (checkerboard). Level 0 is `cur` itself.
+        let stage_level = match (self.uses_prev, method) {
+            (false, _) => usize::MAX,
+            (true, UpdateMethod::Checkerboard) => 2 * e - 2,
+            (true, _) => e - 1,
+        };
+        if self.uses_prev {
+            let cur = &self.cur;
+            let stage = self.scratch.get_or_insert_with(|| cur.clone());
+            if stage_level == 0 {
+                stage.as_mut_slice().copy_from_slice(cur.as_slice());
+            } else {
+                // Keep the stage's boundary rows in lock-step with `cur`
+                // (bands only write owned interior rows).
+                let (src, dst) = (cur.as_slice(), stage.as_mut_slice());
+                dst[..cols].copy_from_slice(&src[..cols]);
+                dst[(rows - 1) * cols..].copy_from_slice(&src[(rows - 1) * cols..]);
+            }
+        }
+
+        // Split the shared outputs into per-band chunks: `next`'s owned
+        // interior rows, the stage's owned rows, and the diff² slots.
+        let problem = self.problem;
+        let uses_stage = self.uses_prev && stage_level > 0;
+        let prev = self.prev.as_ref();
+        let cur = &self.cur;
+        let mut out_rem = &mut self.next.as_mut_slice()[cols..(rows - 1) * cols];
+        let mut stage_rem: &mut [T] = match (uses_stage, self.scratch.as_mut()) {
+            (true, Some(stage)) => &mut stage.as_mut_slice()[cols..(rows - 1) * cols],
+            _ => &mut [],
+        };
+        let mut d_rem = &mut self.partials[s..(rows - 1) * s];
+        #[allow(clippy::type_complexity)]
+        let mut work: Vec<(Range<usize>, &mut [T], Option<&mut [T]>, &mut [f64])> =
+            Vec::with_capacity(self.bands.len());
+        for band in &self.bands {
+            let h = band.len();
+            let (out, rest) = core::mem::take(&mut out_rem).split_at_mut(h * cols);
+            out_rem = rest;
+            let stage = if uses_stage {
+                let (chunk, rest) = core::mem::take(&mut stage_rem).split_at_mut(h * cols);
+                stage_rem = rest;
+                Some(chunk)
+            } else {
+                None
+            };
+            let (d, rest) = core::mem::take(&mut d_rem).split_at_mut(h * s);
+            d_rem = rest;
+            work.push((band.clone(), out, stage, d));
+        }
+        let run = |band: Range<usize>, out: &mut [T], stage: Option<&mut [T]>, d: &mut [f64]| {
+            crate::tiled::band_pipeline(
+                problem,
+                method,
+                s,
+                stage_level,
+                cur,
+                prev,
+                band,
+                out,
+                stage,
+                d,
+            );
+        };
+        if work.len() == 1 {
+            let (band, out, stage, d) = work.pop().expect("one band");
+            run(band, out, stage, d);
+        } else {
+            std::thread::scope(|sc| {
+                for (band, out, stage, d) in work {
+                    sc.spawn(move || run(band, out, stage, d));
+                }
+            });
+        }
+
+        // Fold the last fused sweep's per-row partials in the serial
+        // accumulation order (checkerboard: all phase-0 rows ascending,
+        // then all phase-1 rows).
+        let flat = &self.partials;
+        let mut total = 0.0f64;
+        if method == UpdateMethod::Checkerboard {
+            for r in 1..rows - 1 {
+                total += flat[r * s + (s - 2)];
+            }
+        }
+        for r in 1..rows - 1 {
+            total += flat[r * s + (s - 1)];
+        }
+
+        // Epoch-end rotation: prev <- field after sweep e-1, cur <-
+        // field after sweep e (exactly the serial rotation, batched).
+        if self.uses_prev {
+            core::mem::swap(
+                self.prev.as_mut().expect("checked in new"),
+                self.scratch.as_mut().expect("staged above"),
+            );
+        }
+        core::mem::swap(&mut self.cur, &mut self.next);
         total
     }
 }
 
-impl<T: Scalar> SolveEngine for ParallelSweepEngine<'_, T> {
+impl<T: Scalar> SolveEngine for SweepEngine<'_, T> {
+    /// One sweep, or one wavefront epoch of `min(tile_depth, cap -
+    /// iterations)` fused sweeps whose norm is the last sweep's.
     fn step(&mut self) -> StepOutcome {
-        let problem = self.problem;
-        // Same ring re-pin as the serial engine: the wave rotation
-        // cycles `prev_initial`'s buffer in as the write target.
-        if self.uses_prev && matches!(self.method, UpdateMethod::Jacobi | UpdateMethod::Hybrid) {
-            refresh_boundary_ring(&mut self.next, &self.cur);
-        }
-        let diff2 = match self.method {
-            UpdateMethod::Jacobi => self.step_jacobi_parallel(),
-            UpdateMethod::Hybrid => sweep_hybrid(
-                &problem.stencil,
-                &problem.offset,
-                &self.cur,
-                self.prev.as_ref(),
-                &mut self.next,
-            ),
-            UpdateMethod::GaussSeidel | UpdateMethod::Checkerboard | UpdateMethod::Sor { .. } => {
-                if self.uses_prev {
-                    match &mut self.scratch {
-                        Some(s) => s.as_mut_slice().copy_from_slice(self.cur.as_slice()),
-                        None => self.scratch = Some(self.cur.clone()),
-                    }
-                }
-                let d = match self.method {
-                    UpdateMethod::GaussSeidel => sweep_gauss_seidel(
-                        &problem.stencil,
-                        &problem.offset,
-                        &mut self.cur,
-                        self.prev.as_ref(),
-                    ),
-                    UpdateMethod::Checkerboard => self.step_checkerboard_parallel(),
-                    UpdateMethod::Sor { omega } => sweep_sor(
-                        &problem.stencil,
-                        &problem.offset,
-                        &mut self.cur,
-                        self.prev.as_ref(),
-                        omega,
-                    ),
-                    _ => unreachable!("outer match restricts to in-place methods"),
-                };
-                if self.uses_prev {
-                    core::mem::swap(
-                        self.prev.as_mut().expect("checked in new"),
-                        self.scratch.as_mut().expect("filled above"),
-                    );
-                }
-                d
+        let (sweeps, diff2) = match self.schedule {
+            Schedule::Wavefront => {
+                let e = self.epoch_len();
+                (e, self.wavefront_epoch(e))
             }
+            Schedule::Serial | Schedule::Banded => (1, self.sweep()),
         };
-
-        if matches!(self.method, UpdateMethod::Jacobi | UpdateMethod::Hybrid) {
-            if self.uses_prev {
-                core::mem::swap(&mut self.cur, self.prev.as_mut().expect("checked in new"));
-            }
-            core::mem::swap(&mut self.cur, &mut self.next);
-        }
-
-        self.iterations += 1;
+        self.iterations += sweeps;
         StepOutcome::clean(diff2.sqrt())
     }
 
     fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    fn sweeps_per_step(&self) -> usize {
+        self.depth
+    }
+
+    fn cap_iterations(&mut self, cap: usize) {
+        self.cap = Some(self.cap.map_or(cap, |c| c.min(cap)));
     }
 
     fn supports_checkpoint(&self) -> bool {
@@ -1561,21 +1635,74 @@ impl<T: Scalar> SolveEngine for ParallelSweepEngine<'_, T> {
         ))
     }
 
+    /// Validates the image shape, rewrites `cur`/`prev` from the stored
+    /// bits and mirrors `cur` into `next` (sweeps only ever rewrite the
+    /// interior of `next`, so its boundary ring must match `cur`).
+    /// Bands, halos, partials and the scratch buffer are rewritten by
+    /// every step, so only the rotating field buffers carry state — an
+    /// image restores into an engine on any plan.
     fn restore_state(&mut self, image: &EngineStateImage) -> bool {
-        // Bands, halos and the diff² buffer are per-sweep scratch that
-        // every step rebuilds; only the rotating field buffers carry
-        // state across iterations.
-        let ok = restore_sweep_state(
-            image,
-            &mut self.cur,
-            &mut self.next,
-            &mut self.prev,
-            &mut self.iterations,
-        );
-        if ok {
-            self.saved = None;
+        let (cur, prev) = (&mut self.cur, &mut self.prev);
+        if image.scalar_bytes as usize != T::BYTES
+            || image.rows != cur.rows()
+            || image.cols != cur.cols()
+            || image.cur.len() != cur.as_slice().len()
+            || image.prev.is_some() != prev.is_some()
+            || image
+                .prev
+                .as_ref()
+                .zip(prev.as_ref())
+                .is_some_and(|(src, dst)| src.len() != dst.as_slice().len())
+        {
+            return false;
         }
-        ok
+        for (dst, &bits) in cur.as_mut_slice().iter_mut().zip(&image.cur) {
+            *dst = T::from_bits_u64(bits);
+        }
+        if let (Some(dst), Some(src)) = (prev.as_mut(), image.prev.as_ref()) {
+            for (d, &bits) in dst.as_mut_slice().iter_mut().zip(src) {
+                *d = T::from_bits_u64(bits);
+            }
+        }
+        self.next
+            .as_mut_slice()
+            .copy_from_slice(self.cur.as_slice());
+        self.iterations = image.iterations;
+        self.saved = None;
+        true
+    }
+}
+
+/// Constructor shim for the strip-parallel plan, kept because the
+/// `perfbench` benchmark package compiles against this name. It holds
+/// no state: [`ParallelSweepEngine::new`] returns a [`SweepEngine`] on
+/// the plan `{threads, 1}`. Code in this workspace calls
+/// [`SweepEngine::with_plan`].
+#[derive(Debug)]
+pub struct ParallelSweepEngine;
+
+impl ParallelSweepEngine {
+    /// `SweepEngine::with_plan(problem, method, SweepPlan { threads,
+    /// tile_depth: 1 })`.
+    ///
+    /// # Panics
+    ///
+    /// As [`SweepEngine::with_plan`].
+    // The name and signature are fixed by the benchmark's API.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'p, T: Scalar>(
+        problem: &'p StencilProblem<T>,
+        method: UpdateMethod,
+        threads: usize,
+    ) -> SweepEngine<'p, T> {
+        SweepEngine::with_plan(
+            problem,
+            method,
+            SweepPlan {
+                threads,
+                tile_depth: 1,
+            },
+        )
     }
 }
 
@@ -1585,6 +1712,13 @@ mod tests {
     use crate::boundary::DirichletBoundary;
     use crate::pde::LaplaceProblem;
     use crate::solver::solve;
+
+    fn banded(threads: usize) -> SweepPlan {
+        SweepPlan {
+            threads,
+            tile_depth: 1,
+        }
+    }
 
     fn laplace(n: usize) -> StencilProblem<f64> {
         LaplaceProblem::builder(n, n)
@@ -1725,8 +1859,8 @@ mod tests {
         for method in [UpdateMethod::Jacobi, UpdateMethod::Checkerboard] {
             for threads in [1usize, 2, 4, 7] {
                 let mut serial = SweepEngine::new(&sp, method);
-                let mut par = ParallelSweepEngine::new(&sp, method, threads);
-                assert_eq!(par.threads(), threads.max(1));
+                let mut par = SweepEngine::with_plan(&sp, method, banded(threads));
+                assert_eq!(par.plan().threads, threads.max(1));
                 for step in 0..12 {
                     let a = serial.step().norm.unwrap();
                     let b = par.step().norm.unwrap();
@@ -1749,7 +1883,7 @@ mod tests {
     #[test]
     fn parallel_sweep_engine_checkpoint_round_trips() {
         let sp = laplace(12);
-        let mut engine = ParallelSweepEngine::new(&sp, UpdateMethod::Checkerboard, 3);
+        let mut engine = SweepEngine::with_plan(&sp, UpdateMethod::Checkerboard, banded(3));
         for _ in 0..3 {
             engine.step();
         }
@@ -1973,6 +2107,73 @@ mod tests {
     }
 
     #[test]
+    fn budgets_count_sweeps_for_fused_steps() {
+        /// Reports no progress, four sweeps per step.
+        struct WedgedEpochs {
+            iterations: usize,
+        }
+        impl SolveEngine for WedgedEpochs {
+            fn step(&mut self) -> StepOutcome {
+                self.iterations += 4;
+                StepOutcome::clean(0.5)
+            }
+            fn iterations(&self) -> usize {
+                self.iterations
+            }
+            fn sweeps_per_step(&self) -> usize {
+                4
+            }
+        }
+
+        // Depth-4 epochs under a 10-sweep deadline: 4 + 4 + 2 sweeps
+        // land exactly on the deadline, billed as sweeps.
+        let sp = laplace(16);
+        let plan = SweepPlan {
+            threads: 2,
+            tile_depth: 4,
+        };
+        let mut session = Session::new(
+            SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, plan),
+            StopCondition::tolerance(1e-30, 100_000),
+        )
+        .with_budget(Budget::deadline(10));
+        assert_eq!(
+            session.run().unwrap_err(),
+            EngineError::DeadlineExceeded { iteration: 10 }
+        );
+        assert_eq!(session.steps_executed(), 3);
+        assert_eq!(session.sweeps_executed(), 10);
+        let mut serial = SweepEngine::new(&sp, UpdateMethod::Jacobi);
+        for _ in 0..10 {
+            serial.step();
+        }
+        assert!(grids_bit_equal(
+            session.engine().solution(),
+            serial.solution()
+        ));
+
+        // The stop condition's cap truncates the last epoch as well.
+        let mut fixed = Session::new(
+            SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, plan),
+            StopCondition::fixed_steps(7),
+        );
+        assert!(fixed.run().unwrap());
+        assert_eq!(fixed.engine().iterations(), 7);
+        assert_eq!(fixed.history().len(), 2, "one norm per epoch");
+
+        // The stall window is read in sweeps: 8 sweeps span 2 epochs.
+        let mut wedged = Session::new(
+            WedgedEpochs { iterations: 0 },
+            StopCondition::tolerance(1e-9, 10_000),
+        )
+        .with_budget(Budget::unlimited().with_stall_watchdog(8, 1.0));
+        assert_eq!(
+            wedged.run().unwrap_err(),
+            EngineError::Stalled { iteration: 3 }
+        );
+    }
+
+    #[test]
     fn wall_clock_ceiling_of_zero_fires_immediately() {
         let sp = laplace(8);
         let mut session = Session::new(
@@ -2057,12 +2258,12 @@ mod tests {
             for _ in 0..16 {
                 serial.step();
             }
-            let mut head = ParallelSweepEngine::new(&sp, method, 3);
+            let mut head = SweepEngine::with_plan(&sp, method, banded(3));
             for _ in 0..5 {
                 head.step();
             }
             let image = head.export_state().expect("parallel engines export");
-            let mut tail = ParallelSweepEngine::new(&sp, method, 3);
+            let mut tail = SweepEngine::with_plan(&sp, method, banded(3));
             assert!(tail.restore_state(&image));
             for _ in 0..11 {
                 tail.step();

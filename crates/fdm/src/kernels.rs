@@ -17,8 +17,8 @@
 //! their outputs stay bit-identical to the cycle-accurate PE model. Each
 //! kernel returns the f64 sum of squared updates *of its row*; callers
 //! fold the per-row partials in ascending row order. That fixed fold
-//! order is what lets [`crate::engine::ParallelSweepEngine`] reproduce
-//! the serial engines' residual histories bit-for-bit at any thread
+//! order is what lets a banded [`crate::engine::SweepEngine`] reproduce
+//! the serial sweeps' residual histories bit-for-bit at any thread
 //! count.
 //!
 //! # SIMD lane folding
@@ -171,7 +171,15 @@ fn jacobi_row_with<T: Scalar>(
     }
     for (l, j) in (1 + chunks * SIMD_LANES..n - 1).enumerate() {
         let c = center[j];
-        let o = stencil_point(stencil, up[j], down[j], center[j - 1], center[j + 1], c, b_at(j));
+        let o = stencil_point(
+            stencil,
+            up[j],
+            down[j],
+            center[j - 1],
+            center[j + 1],
+            c,
+            b_at(j),
+        );
         let d = o.to_f64() - c.to_f64();
         acc[l] += d * d;
         out[j] = o;
@@ -251,8 +259,14 @@ pub fn apply_row<T: Scalar>(
         }
     }
     for j in 1 + chunks * SIMD_LANES..n - 1 {
-        out[j] =
-            crate::stencil::apply_point(stencil, up[j], down[j], center[j - 1], center[j + 1], center[j]);
+        out[j] = crate::stencil::apply_point(
+            stencil,
+            up[j],
+            down[j],
+            center[j - 1],
+            center[j + 1],
+            center[j],
+        );
     }
 }
 
@@ -692,7 +706,7 @@ pub fn tri_rows_mut<T>(data: &mut [T], cols: usize, i: usize) -> (&[T], &mut [T]
 /// Returns an empty vector for grids without an interior. Never yields
 /// an empty band: the count is capped at the interior height.
 ///
-/// [strips]: crate::engine::ParallelSweepEngine
+/// [strips]: crate::engine::SweepPlan::bands
 #[must_use]
 pub fn row_bands(rows: usize, max_bands: usize) -> Vec<Range<usize>> {
     let interior = rows.saturating_sub(2);
@@ -718,7 +732,7 @@ pub fn row_bands(rows: usize, max_bands: usize) -> Vec<Range<usize>> {
 /// This is the banding a k-deep temporal wavefront requires: a band
 /// narrower than the tile depth cannot legally skew a k-sweep trapezoid
 /// across itself (its halo would swallow neighbouring bands' owned
-/// rows), so [`crate::tiled::TiledSweepEngine`] splits with
+/// rows), so [`crate::engine::SweepPlan::bands`] splits with
 /// `min_height = k`. With `min_height <= 1` this is exactly
 /// [`row_bands`].
 #[must_use]
@@ -1037,14 +1051,21 @@ mod tests {
                 for j in 0..cols {
                     assert_eq!(a[j].to_bits(), b[j].to_bits(), "jacobi col {j} of {cols}");
                 }
-                assert!((da - db).abs() <= 1e-12 * db.max(1.0), "{cols}: {da} vs {db}");
+                assert!(
+                    (da - db).abs() <= 1e-12 * db.max(1.0),
+                    "{cols}: {da} vs {db}"
+                );
 
                 let mut ra = vec![0.0f32; cols];
                 let mut rb = vec![0.0f32; cols];
                 let dra = residual_row(&s, up, center, down, o, &mut ra);
                 let drb = scalar::residual_row(&s, up, center, down, o, &mut rb);
                 for j in 0..cols {
-                    assert_eq!(ra[j].to_bits(), rb[j].to_bits(), "residual col {j} of {cols}");
+                    assert_eq!(
+                        ra[j].to_bits(),
+                        rb[j].to_bits(),
+                        "residual col {j} of {cols}"
+                    );
                 }
                 assert!((dra - drb).abs() <= 1e-12 * drb.max(1.0));
 

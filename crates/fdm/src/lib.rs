@@ -23,7 +23,9 @@
 //! * residual/stop-condition machinery ([`convergence`]),
 //! * the unified solve-engine layer ([`engine`]): the [`engine::SolveEngine`]
 //!   trait and the generic [`engine::Session`] driver every backend
-//!   (software, hardware model, analytic) runs through,
+//!   (software, hardware model, analytic) runs through, with one
+//!   [`engine::SweepEngine`] whose [`engine::SweepPlan`] picks the
+//!   serial, banded or temporally tiled ([`tiled`]) sweep schedule,
 //! * a software-emulated IEEE half precision type ([`precision::F16`]) for
 //!   the Fig. 1(a) precision study,
 //! * analytic reference solutions ([`analytic`]) and benchmark workload
@@ -72,12 +74,11 @@ pub mod prelude {
     pub use crate::boundary::DirichletBoundary;
     pub use crate::convergence::{ResidualHistory, StopCondition};
     pub use crate::engine::{
-        Budget, CancelToken, ParallelSweepEngine, ResiliencePolicy, Session, SolveEngine,
-        StepOutcome, SweepEngine,
+        Budget, CancelToken, ResiliencePolicy, Session, SolveEngine, StepOutcome, SweepEngine,
+        SweepPlan,
     };
     pub use crate::grid::Grid2D;
     pub use crate::ops::{CoefficientField, StencilOp};
-    pub use crate::tiled::TiledSweepEngine;
     pub use crate::pde::{
         HeatProblem, LaplaceProblem, PdeKind, PoissonProblem, StencilProblem, WaveProblem,
     };

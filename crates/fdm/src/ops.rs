@@ -48,7 +48,7 @@
 //!   [`crate::stencil::fixed_point_residual`] bit-for-bit (same canonical
 //!   order), and [`StencilOp::apply`] is its exact negation at `b = 0`.
 //! * Norms fold per-row f64 partials in ascending row order — the same
-//!   contract as [`crate::engine::ParallelSweepEngine`] — so they are
+//!   contract as the banded [`crate::engine::SweepEngine`] — so they are
 //!   thread-count-invariant, but *not* bit-identical to a flat
 //!   element-order sum.
 //! * Matrix-free vs assembled-CSR operator application agrees to
@@ -487,8 +487,8 @@ pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
 }
 
 /// Folds per-row (or per-band) f64 partial sums in ascending order — the
-/// one fold the serial sweeps, [`crate::engine::ParallelSweepEngine`] and
-/// the operator layer all share, which is what makes residual histories
+/// one fold the serial and banded [`crate::engine::SweepEngine`] sweeps
+/// and the operator layer all share, which is what makes residual histories
 /// thread-count-invariant bit for bit.
 #[must_use]
 pub fn fold_partials(partials: &[f64]) -> f64 {

@@ -4,9 +4,10 @@
 //! threads cannot help, only arithmetic intensity can. A plain sweep
 //! streams the whole grid through DRAM once per sweep (~12 bytes per
 //! lattice-point update for an f32 Jacobi pass with write-allocate
-//! traffic); [`TiledSweepEngine`] instead advances the solve `k` sweeps
-//! per pass over the grid, so the grid is streamed once per *k* sweeps
-//! and the per-sweep DRAM traffic drops by ~`k`×.
+//! traffic); a [`SweepEngine`] whose [`SweepPlan`] has
+//! `tile_depth = k > 1` instead advances the solve `k` sweeps per pass
+//! over the grid, so the grid is streamed once per *k* sweeps and the per-sweep DRAM
+//! traffic drops by ~`k`×. This module holds that schedule's kernel.
 //!
 //! # The wavefront
 //!
@@ -35,17 +36,16 @@
 //!
 //! # Composing with the strip decomposition
 //!
-//! Tiling composes with [`ParallelSweepEngine`]'s banding: the interior
-//! is split with [`crate::kernels::row_bands_with_min`] (`min_height =
-//! k`, so no band is narrower than the halo it must skew across), and
-//! each band runs the full pipeline privately, recomputing a k-deep
+//! The interior is split by [`SweepPlan::bands`] (floored at `k` rows,
+//! so no band is narrower than the halo it must skew across), and each
+//! band runs the full pipeline privately, recomputing a k-deep
 //! *trapezoid* of halo rows (level `ℓ` extends `S - ℓ` rows past the
 //! band on each side) from the shared `cur` instead of synchronising
 //! per sweep. Only owned rows are written to `next` or recorded in the
 //! diff² buffer, so bands stay write-disjoint and the result is
 //! *independent of the band count* — the redundant halo arithmetic is
 //! the price paid for k× less DRAM traffic and zero mid-epoch
-//! synchronisation ([`TiledSweepEngine::redundant_halo_rows_per_epoch`]
+//! synchronisation ([`SweepEngine::redundant_halo_rows_per_epoch`]
 //! reports it; the FDX022 lint rejects geometries where it dominates).
 //!
 //! # Residual-history and bit-identity semantics
@@ -57,23 +57,24 @@
 //! tolerance stops are detected at epoch boundaries (the iteration cap
 //! truncates the final epoch, so a budget is never overshot). Because
 //! every row is produced by the same [`crate::kernels`] row kernels in
-//! the same order as the serial [`SweepEngine`], and per-(sweep, row)
-//! diff² partials are folded in exactly the serial order at epoch end,
-//! the grids *and* per-epoch norms are bit-identical to the serial
-//! engine's at the same sweep counts — at any band count. With `k = 1`
-//! the engine degenerates to the serial schedule exactly, history
-//! included. The equivalence tests nevertheless state the contract the
-//! ROADMAP allows (≤1e-12 relative for f64) so future tile schedules
-//! may regroup within an epoch.
+//! the same order as the serial sweeps, and per-(sweep, row) diff²
+//! partials are folded in exactly the serial order at epoch end, the
+//! grids *and* per-epoch norms are bit-identical to the serial
+//! schedule's at the same sweep counts — at any band count. The
+//! equivalence tests nevertheless state the contract the ROADMAP allows
+//! (≤1e-12 relative for f64) so future tile schedules may regroup
+//! within an epoch.
 //!
-//! [`ParallelSweepEngine`]: crate::engine::ParallelSweepEngine
 //! [`SweepEngine`]: crate::engine::SweepEngine
+//! [`SweepPlan`]: crate::engine::SweepPlan
+//! [`SweepPlan::bands`]: crate::engine::SweepPlan::bands
+//! [`SweepEngine::redundant_halo_rows_per_epoch`]: crate::engine::SweepEngine::redundant_halo_rows_per_epoch
 //! [`SolveEngine::step`]: crate::engine::SolveEngine::step
 //! [`SolveEngine::iterations`]: crate::engine::SolveEngine::iterations
 
-use crate::engine::{restore_sweep_state, EngineStateImage, SolveEngine, StepOutcome};
+use crate::engine::{SweepEngine, SweepPlan};
 use crate::grid::Grid2D;
-use crate::kernels::{checkerboard_row, jacobi_row, row_bands_with_min, OffsetRow};
+use crate::kernels::{checkerboard_row, jacobi_row, OffsetRow};
 use crate::pde::{OffsetField, StencilProblem};
 use crate::precision::Scalar;
 use crate::solver::UpdateMethod;
@@ -85,318 +86,44 @@ use core::ops::Range;
 /// leads the consumer by 4 — so 5 resident rows always cover every read.
 const RING: usize = 5;
 
-/// Snapshot of the tiled engine's rotating buffers (same shape as the
-/// serial sweep checkpoint).
-#[derive(Clone, Debug)]
-struct TiledCheckpoint<T> {
-    cur: Grid2D<T>,
-    next: Grid2D<T>,
-    prev: Option<Grid2D<T>>,
-    iterations: usize,
-}
-
-/// Temporal wavefront tiling over row-block strips: a [`SolveEngine`]
-/// whose every step fuses up to `tile_depth` Jacobi or checkerboard
-/// sweeps into one cache pass. See the [module docs](self) for the
-/// pipeline, banding and bit-identity contracts.
+/// Constructor shim for the tiled plan, kept because the `perfbench`
+/// benchmark package compiles against this name. It holds no state:
+/// [`TiledSweepEngine::new`] returns a [`SweepEngine`] on the plan
+/// `{threads, tile_depth}`. Code in this workspace calls
+/// [`SweepEngine::with_plan`].
 #[derive(Debug)]
-pub struct TiledSweepEngine<'p, T: Scalar> {
-    problem: &'p StencilProblem<T>,
-    method: UpdateMethod,
-    tile_depth: usize,
-    threads: usize,
-    cap: Option<usize>,
-    cur: Grid2D<T>,
-    next: Grid2D<T>,
-    prev: Option<Grid2D<T>>,
-    /// Staging buffer for the wave history: the epoch's second-to-last
-    /// sub-level materialises its owned rows here, and the epoch-end
-    /// rotation swaps it into `prev`.
-    prev_stage: Option<Grid2D<T>>,
-    uses_prev: bool,
-    iterations: usize,
-    saved: Option<TiledCheckpoint<T>>,
-    /// Interior row bands (halo-aware: no band narrower than the tile
-    /// depth), fixed at construction.
-    bands: Vec<Range<usize>>,
-    /// Per-(row, sub-level) diff² partials, row-major with the epoch's
-    /// level count as stride; folded in serial sweep order at epoch end.
-    diff2: Vec<f64>,
-}
+pub struct TiledSweepEngine;
 
-impl<'p, T: Scalar> TiledSweepEngine<'p, T> {
-    /// `true` when `method` has a tiled schedule: the data-parallel
-    /// sweeps (Jacobi, checkerboard). The ordered sweeps (Gauss-Seidel,
-    /// SOR, Hybrid) carry a loop dependency across rows that the
-    /// wavefront cannot legally reorder.
-    #[must_use]
-    pub fn supports(method: UpdateMethod) -> bool {
-        matches!(method, UpdateMethod::Jacobi | UpdateMethod::Checkerboard)
-    }
-
-    /// Prepares a tiled sweep engine fusing up to `tile_depth` sweeps
-    /// per epoch, strip-parallel over at most `threads` bands.
+impl TiledSweepEngine {
+    /// `SweepEngine::with_plan(problem, method, SweepPlan { threads,
+    /// tile_depth })`, for a method the wavefront can tile.
     ///
     /// # Panics
     ///
-    /// Panics when `method` is not tileable (see
-    /// [`TiledSweepEngine::supports`]), when `tile_depth` is zero, or
-    /// when a `ScaledPrevField` offset (wave equation) comes without
-    /// `prev_initial`.
-    pub fn new(
-        problem: &'p StencilProblem<T>,
+    /// Panics when `method` is not data-parallel (see
+    /// [`SweepPlan::is_data_parallel`]), when `tile_depth` is zero, or
+    /// as [`SweepEngine::with_plan`].
+    // The name and signature are fixed by the benchmark's API.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<T: Scalar>(
+        problem: &StencilProblem<T>,
         method: UpdateMethod,
         tile_depth: usize,
         threads: usize,
-    ) -> Self {
+    ) -> SweepEngine<'_, T> {
         assert!(
-            Self::supports(method),
+            SweepPlan::is_data_parallel(method),
             "temporal tiling requires a data-parallel sweep (Jacobi or checkerboard), got {method:?}"
         );
         assert!(tile_depth >= 1, "tile depth must be at least 1");
-        let cur = problem.initial.clone();
-        let next = cur.clone();
-        let prev = problem.prev_initial.clone();
-        let uses_prev = matches!(problem.offset, OffsetField::ScaledPrevField { .. });
-        if uses_prev {
-            assert!(
-                prev.is_some(),
-                "a ScaledPrevField offset requires prev_initial"
-            );
-        }
-        // The staging buffer carries `cur`'s boundary ring (the ring the
-        // post-first-sweep history field provably has), not
-        // `prev_initial`'s.
-        let prev_stage = uses_prev.then(|| cur.clone());
-        let bands = row_bands_with_min(cur.rows(), threads.max(1), tile_depth);
-        let levels_max = match method {
-            UpdateMethod::Checkerboard => 2 * tile_depth,
-            _ => tile_depth,
-        };
-        let diff2 = vec![0.0; cur.rows() * levels_max];
-        TiledSweepEngine {
+        SweepEngine::with_plan(
             problem,
             method,
-            tile_depth,
-            threads: threads.max(1),
-            cap: None,
-            cur,
-            next,
-            prev,
-            prev_stage,
-            uses_prev,
-            iterations: 0,
-            saved: None,
-            bands,
-            diff2,
-        }
-    }
-
-    /// Caps total iterations: the final epoch truncates to
-    /// `cap - iterations` fused sweeps so the engine lands exactly on
-    /// the cap (a tolerance budget or service deadline) instead of
-    /// overshooting by up to `tile_depth - 1` sweeps.
-    #[must_use]
-    pub fn with_iteration_cap(mut self, cap: usize) -> Self {
-        self.cap = Some(cap);
-        self
-    }
-
-    /// The current field `U^k`.
-    pub fn solution(&self) -> &Grid2D<T> {
-        &self.cur
-    }
-
-    /// Consumes the engine, returning the final field.
-    pub fn into_solution(self) -> Grid2D<T> {
-        self.cur
-    }
-
-    /// The update method being swept.
-    pub fn method(&self) -> UpdateMethod {
-        self.method
-    }
-
-    /// The configured fused-sweep depth `k`.
-    pub fn tile_depth(&self) -> usize {
-        self.tile_depth
-    }
-
-    /// The requested worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The halo-aware band plan actually swept.
-    pub fn bands(&self) -> &[Range<usize>] {
-        &self.bands
-    }
-
-    /// Fused sweeps the next epoch will execute.
-    fn epoch_len(&self) -> usize {
-        match self.cap {
-            Some(c) if c > self.iterations => self.tile_depth.min(c - self.iterations),
-            Some(_) => 1,
-            None => self.tile_depth,
-        }
-    }
-
-    /// Sub-levels of an `e`-sweep epoch: one per Jacobi sweep, two per
-    /// checkerboard sweep (one per parity phase).
-    fn levels_for(&self, e: usize) -> usize {
-        match self.method {
-            UpdateMethod::Checkerboard => 2 * e,
-            _ => e,
-        }
-    }
-
-    /// Row-slots each full-depth epoch computes *beyond* the owned
-    /// interior — the trapezoid halo recomputation the strips pay to
-    /// avoid per-sweep synchronisation. This is the quantity the FDX022
-    /// geometry lint bounds: when it reaches the useful work
-    /// (`interior × levels`), the halo has consumed the interior.
-    #[must_use]
-    pub fn redundant_halo_rows_per_epoch(&self) -> usize {
-        let rows = self.cur.rows();
-        let s = self.levels_for(self.tile_depth);
-        let mut redundant = 0usize;
-        for band in &self.bands {
-            for l in 1..=s {
-                let lo = band.start.saturating_sub(s - l).max(1);
-                let hi = (band.end + (s - l)).min(rows - 1);
-                redundant += (hi - lo) - band.len();
-            }
-        }
-        redundant
-    }
-
-    /// One fused epoch of `e` sweeps. Returns the *last* sweep's diff²,
-    /// folded in the exact serial accumulation order.
-    fn step_epoch(&mut self, e: usize) -> f64 {
-        let (rows, cols) = (self.cur.rows(), self.cur.cols());
-        if self.bands.is_empty() {
-            return 0.0;
-        }
-        let s = self.levels_for(e);
-        // Sub-level whose field becomes the epoch's history (`prev`):
-        // the field after sweep e-1, i.e. level e-1 (Jacobi) or phase
-        // 2e-2 (checkerboard). Level 0 is `cur` itself.
-        let stage_level = if self.uses_prev {
-            match self.method {
-                UpdateMethod::Checkerboard => 2 * e - 2,
-                _ => e - 1,
-            }
-        } else {
-            usize::MAX
-        };
-        if self.uses_prev {
-            let stage = self.prev_stage.as_mut().expect("wave carries a stage");
-            if stage_level == 0 {
-                stage.as_mut_slice().copy_from_slice(self.cur.as_slice());
-            } else {
-                // Keep the stage's boundary rows in lock-step with `cur`
-                // (bands only write owned interior rows).
-                let w = cols;
-                stage.as_mut_slice()[..w].copy_from_slice(&self.cur.as_slice()[..w]);
-                stage.as_mut_slice()[(rows - 1) * w..]
-                    .copy_from_slice(&self.cur.as_slice()[(rows - 1) * w..]);
-            }
-        }
-
-        // Split the shared outputs into per-band chunks: `next`'s owned
-        // interior rows, the stage's owned rows, and the diff² slots.
-        let problem = self.problem;
-        let method = self.method;
-        let uses_stage = self.uses_prev && stage_level > 0;
-        let prev = self.prev.as_ref();
-        let cur = &self.cur;
-        let mut out_rem = &mut self.next.as_mut_slice()[cols..(rows - 1) * cols];
-        let mut stage_rem: &mut [T] = match (uses_stage, self.prev_stage.as_mut()) {
-            (true, Some(stage)) => &mut stage.as_mut_slice()[cols..(rows - 1) * cols],
-            _ => &mut [],
-        };
-        let mut d_rem = &mut self.diff2[s..(rows - 1) * s];
-        #[allow(clippy::type_complexity)]
-        let mut work: Vec<(Range<usize>, &mut [T], Option<&mut [T]>, &mut [f64])> =
-            Vec::with_capacity(self.bands.len());
-        for band in &self.bands {
-            let h = band.len();
-            let tmp = core::mem::take(&mut out_rem);
-            let (out, rest) = tmp.split_at_mut(h * cols);
-            out_rem = rest;
-            let stage = if uses_stage {
-                let tmp = core::mem::take(&mut stage_rem);
-                let (chunk, rest) = tmp.split_at_mut(h * cols);
-                stage_rem = rest;
-                Some(chunk)
-            } else {
-                None
-            };
-            let tmp = core::mem::take(&mut d_rem);
-            let (d, rest) = tmp.split_at_mut(h * s);
-            d_rem = rest;
-            work.push((band.clone(), out, stage, d));
-        }
-        let run = |band: Range<usize>,
-                   out: &mut [T],
-                   stage: Option<&mut [T]>,
-                   d: &mut [f64]| {
-            band_pipeline(
-                problem,
-                method,
-                s,
-                stage_level,
-                cur,
-                prev,
-                band,
-                out,
-                stage,
-                d,
-            );
-        };
-        if work.len() == 1 {
-            let (band, out, stage, d) = work.pop().expect("one band");
-            run(band, out, stage, d);
-        } else {
-            let run = &run;
-            std::thread::scope(|sc| {
-                for (band, out, stage, d) in work {
-                    sc.spawn(move || run(band, out, stage, d));
-                }
-            });
-        }
-
-        // Fold the last fused sweep's per-row partials in the serial
-        // accumulation order (checkerboard: all phase-0 rows ascending,
-        // then all phase-1 rows).
-        let flat = &self.diff2;
-        let mut total = 0.0f64;
-        match self.method {
-            UpdateMethod::Checkerboard => {
-                for r in 1..rows - 1 {
-                    total += flat[r * s + (s - 2)];
-                }
-                for r in 1..rows - 1 {
-                    total += flat[r * s + (s - 1)];
-                }
-            }
-            _ => {
-                for r in 1..rows - 1 {
-                    total += flat[r * s + (s - 1)];
-                }
-            }
-        }
-
-        // Epoch-end rotation: prev <- field after sweep e-1, cur <-
-        // field after sweep e (exactly the serial rotation, batched).
-        if self.uses_prev {
-            core::mem::swap(
-                self.prev.as_mut().expect("checked in new"),
-                self.prev_stage.as_mut().expect("wave carries a stage"),
-            );
-        }
-        core::mem::swap(&mut self.cur, &mut self.next);
-        total
+            SweepPlan {
+                threads,
+                tile_depth,
+            },
+        )
     }
 }
 
@@ -407,7 +134,7 @@ impl<'p, T: Scalar> TiledSweepEngine<'p, T> {
 /// owned rows of `stage_level` into `stage`, and owned diff² partials
 /// into `d` (stride `s`).
 #[allow(clippy::too_many_arguments)]
-fn band_pipeline<T: Scalar>(
+pub(crate) fn band_pipeline<T: Scalar>(
     problem: &StencilProblem<T>,
     method: UpdateMethod,
     s: usize,
@@ -535,86 +262,20 @@ fn compute_row<T: Scalar>(
     }
 }
 
-impl<T: Scalar> SolveEngine for TiledSweepEngine<'_, T> {
-    /// One epoch of `min(tile_depth, cap - iterations)` fused sweeps.
-    /// The norm is the last fused sweep's and
-    /// [`iterations`](SolveEngine::iterations) advances by the epoch
-    /// length, so residual histories are epoch-granular.
-    fn step(&mut self) -> StepOutcome {
-        let e = self.epoch_len();
-        let diff2 = self.step_epoch(e);
-        self.iterations += e;
-        StepOutcome::clean(diff2.sqrt())
-    }
-
-    fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    fn supports_checkpoint(&self) -> bool {
-        true
-    }
-
-    fn checkpoint(&mut self) {
-        self.saved = Some(TiledCheckpoint {
-            cur: self.cur.clone(),
-            next: self.next.clone(),
-            prev: self.prev.clone(),
-            iterations: self.iterations,
-        });
-    }
-
-    fn rollback(&mut self) -> bool {
-        match &self.saved {
-            Some(ckpt) => {
-                self.cur.as_mut_slice().copy_from_slice(ckpt.cur.as_slice());
-                self.next
-                    .as_mut_slice()
-                    .copy_from_slice(ckpt.next.as_slice());
-                match (&mut self.prev, &ckpt.prev) {
-                    (Some(dst), Some(src)) => dst.as_mut_slice().copy_from_slice(src.as_slice()),
-                    (dst, src) => *dst = src.clone(),
-                }
-                self.iterations = ckpt.iterations;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn export_state(&self) -> Option<EngineStateImage> {
-        Some(EngineStateImage::capture(
-            self.iterations,
-            &self.cur,
-            self.prev.as_ref(),
-        ))
-    }
-
-    fn restore_state(&mut self, image: &EngineStateImage) -> bool {
-        // `prev_stage` carries no state across epochs (owned rows and
-        // boundary ring are rewritten every epoch), so the shared sweep
-        // restore covers everything.
-        let ok = restore_sweep_state(
-            image,
-            &mut self.cur,
-            &mut self.next,
-            &mut self.prev,
-            &mut self.iterations,
-        );
-        if ok {
-            self.saved = None;
-        }
-        ok
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::boundary::DirichletBoundary;
-    use crate::engine::SweepEngine;
+    use crate::engine::SolveEngine;
     use crate::pde::{LaplaceProblem, PdeKind, RunMode, WaveProblem};
     use crate::stencil::FivePointStencil;
+
+    fn plan(threads: usize, tile_depth: usize) -> SweepPlan {
+        SweepPlan {
+            threads,
+            tile_depth,
+        }
+    }
 
     fn laplace(rows: usize, cols: usize) -> StencilProblem<f64> {
         LaplaceProblem::builder(rows, cols)
@@ -647,7 +308,11 @@ mod tests {
 
     fn assert_bits_equal(a: &Grid2D<f64>, b: &Grid2D<f64>, what: &str) {
         for (idx, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {idx}: {x} vs {y}");
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: element {idx}: {x} vs {y}"
+            );
         }
     }
 
@@ -671,7 +336,7 @@ mod tests {
             for method in [UpdateMethod::Jacobi, UpdateMethod::Checkerboard] {
                 for k in [1usize, 2, 3, 4] {
                     for threads in [1usize, 2, 5] {
-                        let mut tiled = TiledSweepEngine::new(&sp, method, k, threads);
+                        let mut tiled = SweepEngine::with_plan(&sp, method, plan(threads, k));
                         let epochs = 3;
                         let mut last = 0.0;
                         for _ in 0..epochs {
@@ -698,7 +363,7 @@ mod tests {
         for method in [UpdateMethod::Jacobi, UpdateMethod::Checkerboard] {
             for k in [1usize, 2, 4] {
                 for threads in [1usize, 3] {
-                    let mut tiled = TiledSweepEngine::new(&sp, method, k, threads);
+                    let mut tiled = SweepEngine::with_plan(&sp, method, plan(threads, k));
                     for _ in 0..2 {
                         tiled.step();
                     }
@@ -713,7 +378,8 @@ mod tests {
     #[test]
     fn iteration_cap_truncates_the_final_epoch() {
         let sp = laplace(12, 12);
-        let mut tiled = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, 4, 2).with_iteration_cap(10);
+        let mut tiled =
+            SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, plan(2, 4)).with_iteration_cap(10);
         let counts: Vec<usize> = (0..3)
             .map(|_| {
                 tiled.step();
@@ -729,7 +395,7 @@ mod tests {
     #[test]
     fn checkpoint_rollback_and_state_image_round_trip() {
         let sp = wave(10);
-        let mut tiled = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, 2, 2);
+        let mut tiled = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, plan(2, 2));
         tiled.step();
         tiled.checkpoint();
         let at_ckpt = tiled.solution().clone();
@@ -739,7 +405,7 @@ mod tests {
         assert_eq!(tiled.iterations(), 2);
         assert_bits_equal(tiled.solution(), &at_ckpt, "rollback");
 
-        let mut fresh = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, 2, 2);
+        let mut fresh = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, plan(2, 2));
         assert!(fresh.restore_state(&image));
         assert_eq!(fresh.iterations(), 2);
         fresh.step();
@@ -752,11 +418,11 @@ mod tests {
         // 19 rows / 17 interior: 7 plain bands would be thinner than a
         // k=4 halo; the tiled engine must coarsen the split instead.
         let sp = laplace(19, 8);
-        let tiled = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, 4, 7);
+        let tiled = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, plan(7, 4));
         assert!(tiled.bands().iter().all(|b| b.len() >= 4));
         assert!(tiled.bands().len() <= 7);
         // A single band pays no halo recomputation; more bands do.
-        let single = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, 4, 1);
+        let single = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, plan(1, 4));
         assert_eq!(single.redundant_halo_rows_per_epoch(), 0);
         assert!(tiled.redundant_halo_rows_per_epoch() > 0);
     }

@@ -10,13 +10,14 @@
 //!    (no FDX015 finding) converges inside its budget; a plan it rejects
 //!    as infeasible (FDX015 at Error) provably does not.
 //! 3. **Race-freedom certification is sound** — every band plan
-//!    [`BandPlan::from_threads`] derives certifies clean, and the
-//!    strip-parallel engine it describes reproduces the serial engine's
-//!    residual history bitwise and its field exactly.
+//!    [`BandPlan::from_sweep_plan`] derives certifies clean, and the
+//!    sweep engine on that plan (banded, or tiled at k = 2 and 4)
+//!    reproduces the serial engine's residual history bitwise and its
+//!    field exactly.
 
 use detrng::DetRng;
 use fdm::convergence::StopCondition;
-use fdm::engine::{ParallelSweepEngine, SolveEngine, SweepEngine};
+use fdm::engine::{SolveEngine, SweepEngine, SweepPlan};
 use fdm::pde::PdeKind;
 use fdm::solver::solve;
 use fdm::workload::benchmark_problem;
@@ -162,39 +163,54 @@ fn infeasible_verdicts_match_measured_misses() {
     }
 }
 
-/// Claim 3: every derived band plan certifies clean, and the parallel
-/// engine it describes is bit-identical to the serial engine — residual
-/// history and field — at every sampled thread count.
+/// Claim 3: every derived band plan certifies clean, and the engine it
+/// describes is bit-identical to the serial engine — residual history
+/// and field — at every sampled thread count and tile depth. A tiled
+/// step is one epoch, compared against `k` serial sweeps.
 #[test]
 fn certified_band_plans_have_no_cross_thread_residual_mismatch() {
+    use fdm::solver::UpdateMethod::Jacobi;
+
     let mut rng = DetRng::seed_from_u64(0xFD52);
     for _ in 0..100 {
         let n = rng.gen_range(4, 33);
         let threads = rng.gen_range(1, 12);
-        let plan = BandPlan::from_threads(n, n, threads);
-        let report = certify_band_plan(&plan);
-        assert!(
-            report.is_clean(),
-            "derived plan for {n}x{n} at {threads} thread(s) flagged:\n{report}"
-        );
-
         let sp = benchmark_problem::<f32>(PdeKind::Laplace, n, 0).unwrap();
-        let mut par = ParallelSweepEngine::new(&sp, fdm::solver::UpdateMethod::Jacobi, threads);
-        assert_eq!(
-            plan.bands,
-            par.bands(),
-            "the certifier certified the engine's real geometry"
-        );
-        let mut ser = SweepEngine::new(&sp, fdm::solver::UpdateMethod::Jacobi);
-        for step in 0..4 {
-            let a = par.step().norm;
-            let b = ser.step().norm;
-            assert_eq!(
-                a.map(f64::to_bits),
-                b.map(f64::to_bits),
-                "residual mismatch at step {step} for {n}x{n} at {threads} thread(s)"
+        for tile_depth in [1, 2, 4] {
+            let sweep_plan = SweepPlan {
+                threads,
+                tile_depth,
+            };
+            let plan = BandPlan::from_sweep_plan(n, n, sweep_plan, Jacobi);
+            let report = certify_band_plan(&plan);
+            assert!(
+                report.is_clean(),
+                "derived plan for {n}x{n} on {sweep_plan:?} flagged:\n{report}"
             );
+            if tile_depth == 1 {
+                assert_eq!(plan, BandPlan::from_threads(n, n, threads));
+            }
+
+            let mut par = SweepEngine::with_plan(&sp, Jacobi, sweep_plan);
+            assert_eq!(
+                plan.bands,
+                par.bands(),
+                "the certifier certified the engine's real geometry"
+            );
+            let mut ser = SweepEngine::new(&sp, Jacobi);
+            for step in 0..4 {
+                let a = par.step().norm;
+                let mut b = None;
+                for _ in 0..tile_depth {
+                    b = ser.step().norm;
+                }
+                assert_eq!(
+                    a.map(f64::to_bits),
+                    b.map(f64::to_bits),
+                    "residual mismatch at step {step} for {n}x{n} on {sweep_plan:?}"
+                );
+            }
+            assert_eq!(par.solution(), ser.solution(), "fields diverged");
         }
-        assert_eq!(par.solution(), ser.solution(), "fields diverged");
     }
 }

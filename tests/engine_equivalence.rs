@@ -15,7 +15,7 @@
 
 use detrng::DetRng;
 use fdm::convergence::StopCondition;
-use fdm::engine::{ParallelSweepEngine, Session, SolveEngine, SweepEngine};
+use fdm::engine::{Session, SolveEngine, SweepEngine, SweepPlan};
 use fdm::grid::Grid2D;
 use fdm::ops::{self, StencilOp};
 use fdm::pde::{PdeKind, StencilProblem};
@@ -164,8 +164,12 @@ fn parallel_matrix_strip_engine_matches_serial_software() {
             let (serial_engine, serial_history) = serial.into_parts();
             let serial_solution = serial_engine.into_solution();
             for threads in [1, 2, 4, 7] {
+                let plan = SweepPlan {
+                    threads,
+                    tile_depth: 1,
+                };
                 let mut par = Session::new(
-                    ParallelSweepEngine::new(&sp, method, threads),
+                    SweepEngine::with_plan(&sp, method, plan),
                     StopCondition::fixed_steps(steps),
                 );
                 par.run().expect("no policy, no failure");
@@ -426,7 +430,7 @@ fn session_histories_agree_between_software_and_simulator() {
 }
 
 /// The temporally tiled engine joins the matrix with a *tolerance*
-/// contract: a `TiledSweepEngine` run to the same total sweep count as
+/// contract: a `SweepEngine` on a tiled plan run to the same total sweep count as
 /// the serial software engine matches its field within 1e-12 relative
 /// (f64) / 1e-5 (f32) at every tile depth, band count and benchmark
 /// PDE — and its epoch-granular residual history is the serial history
@@ -435,8 +439,6 @@ fn session_histories_agree_between_software_and_simulator() {
 /// states the documented contract, which permits intra-epoch
 /// regrouping.)
 fn tiled_matrix<T: Scalar>(tol: f64) {
-    use fdm::tiled::TiledSweepEngine;
-
     for (kind, n, steps) in POINTS {
         let sp: StencilProblem<T> = benchmark_problem(kind, n, steps).unwrap();
         for method in [UpdateMethod::Jacobi, UpdateMethod::Checkerboard] {
@@ -449,8 +451,12 @@ fn tiled_matrix<T: Scalar>(tol: f64) {
             let serial_solution = serial_engine.into_solution();
             for k in [2usize, 4] {
                 for threads in [1usize, 4] {
-                    let engine =
-                        TiledSweepEngine::new(&sp, method, k, threads).with_iteration_cap(steps);
+                    let plan = SweepPlan {
+                        threads,
+                        tile_depth: k,
+                    };
+                    // The session caps the final epoch at the step count.
+                    let engine = SweepEngine::with_plan(&sp, method, plan);
                     let mut tiled = Session::new(engine, StopCondition::fixed_steps(steps));
                     tiled.run().expect("no policy, no failure");
                     let (engine, history) = tiled.into_parts();
@@ -467,7 +473,11 @@ fn tiled_matrix<T: Scalar>(tol: f64) {
                     }
                     // History: one entry per epoch, each the serial norm
                     // at that epoch's closing sweep.
-                    assert_eq!(history.len(), steps.div_ceil(k), "{what}: epoch granularity");
+                    assert_eq!(
+                        history.len(),
+                        steps.div_ceil(k),
+                        "{what}: epoch granularity"
+                    );
                     for e in 0..history.len() {
                         let closing = ((e + 1) * k).min(steps);
                         let want = serial_history.get(closing - 1).unwrap();

@@ -1,7 +1,7 @@
-//! Property test pinning the strip-parallel engine to the serial sweeps.
+//! Property test pinning the strip-parallel plan to the serial sweeps.
 //!
-//! [`ParallelSweepEngine`] promises *bit-identical* fields **and**
-//! residual norms to the serial [`SweepEngine`] for the parity-free
+//! A [`SweepEngine`] on the plan `{threads, 1}` promises *bit-identical*
+//! fields **and** residual norms to the serial plan for the parity-free
 //! methods (Jacobi and Checkerboard) at any thread count. This suite
 //! hammers that promise with deterministic randomness ([`DetRng`]):
 //! every benchmark PDE family, both working precisions, random grid
@@ -10,7 +10,7 @@
 //! not at all.
 
 use detrng::DetRng;
-use fdm::engine::{ParallelSweepEngine, SolveEngine, SweepEngine};
+use fdm::engine::{SolveEngine, SweepEngine, SweepPlan};
 use fdm::grid::Grid2D;
 use fdm::pde::{OffsetField, PdeKind, RunMode, StencilProblem};
 use fdm::precision::Scalar;
@@ -97,7 +97,11 @@ fn assert_grids_bit_identical<T: Scalar>(a: &Grid2D<T>, b: &Grid2D<T>, what: &st
 fn check_lockstep<T: Scalar>(sp: &StencilProblem<T>, method: UpdateMethod, threads: usize) {
     let steps = 6;
     let mut serial = SweepEngine::new(sp, method);
-    let mut parallel = ParallelSweepEngine::new(sp, method, threads);
+    let plan = SweepPlan {
+        threads,
+        tile_depth: 1,
+    };
+    let mut parallel = SweepEngine::with_plan(sp, method, plan);
     for step in 0..steps {
         let s = serial.step();
         let p = parallel.step();

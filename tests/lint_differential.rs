@@ -1130,7 +1130,7 @@ fn fdx017_witness_checkpoint_cadence_mismatch() {
 ///   so the residual the convergence decision runs on is wrong.
 #[test]
 fn fdx018_witness_band_plan_race() {
-    use fdm::engine::{ParallelSweepEngine, SolveEngine, SweepEngine};
+    use fdm::engine::{SolveEngine, SweepEngine, SweepPlan};
     use fdm::kernels::{jacobi_row, OffsetRow};
     use fdm::solver::UpdateMethod;
 
@@ -1143,7 +1143,11 @@ fn fdx018_witness_band_plan_race() {
             certify_band_plan(&plan).is_clean(),
             "a derived plan certifies clean at {threads} thread(s)"
         );
-        let mut par = ParallelSweepEngine::new(&sp, UpdateMethod::Jacobi, threads);
+        let banded = SweepPlan {
+            threads,
+            tile_depth: 1,
+        };
+        let mut par = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, banded);
         assert_eq!(plan.bands, par.bands(), "the certifier saw the real plan");
         let mut ser = SweepEngine::new(&sp, UpdateMethod::Jacobi);
         for _ in 0..6 {
@@ -1221,7 +1225,7 @@ fn fdx018_witness_band_plan_race() {
 /// parallel rung as one serial band.
 #[test]
 fn fdx019_witness_dead_fallback_rungs() {
-    use fdm::engine::ParallelSweepEngine;
+    use fdm::engine::{SweepEngine, SweepPlan};
     use fdm::solver::UpdateMethod;
     use fdmax::service::{AttemptDisposition, JobSpec, Rung, ServiceConfig, SolveService};
 
@@ -1279,7 +1283,11 @@ fn fdx019_witness_dead_fallback_rungs() {
     // Dynamically (parallel): at one thread the strip-parallel engine
     // degenerates to a single serial band.
     let sp = benchmark_problem::<f32>(PdeKind::Laplace, 12, 0).unwrap();
-    let engine = ParallelSweepEngine::new(&sp, UpdateMethod::Jacobi, 1);
+    let single = SweepPlan {
+        threads: 1,
+        tile_depth: 1,
+    };
+    let engine = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, single);
     assert_eq!(engine.bands().len(), 1, "one band: the same serial engine");
 }
 
@@ -1416,9 +1424,8 @@ fn fdx021_witness_vacuous_hedge() {
 ///   epoch: the engine never executes a full fused pass.
 #[test]
 fn fdx022_witness_tile_depth_geometry() {
-    use fdm::engine::{SolveEngine, SweepEngine};
+    use fdm::engine::{SolveEngine, SweepEngine, SweepPlan};
     use fdm::solver::UpdateMethod;
-    use fdm::tiled::TiledSweepEngine;
 
     let plan = |rows: usize, threads: usize, k: usize| SolvePlan {
         rows,
@@ -1438,7 +1445,7 @@ fn fdx022_witness_tile_depth_geometry() {
             .diagnostics()
             .iter()
             .filter(|d| d.code == DiagCode::TileDepthGeometry)
-            .map(|d| d.severity())
+            .map(fdmax::lint::Diagnostic::severity)
             .collect()
     };
 
@@ -1453,7 +1460,11 @@ fn fdx022_witness_tile_depth_geometry() {
     // room for a single band — the requested 2 threads are shed and the
     // epoch runs serially, though still bitwise correct.
     let sp = benchmark_problem::<f32>(PdeKind::Laplace, 10, 0).unwrap();
-    let mut tiled = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, 8, 2);
+    let tiled_plan = |threads, tile_depth| SweepPlan {
+        threads,
+        tile_depth,
+    };
+    let mut tiled = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, tiled_plan(2, 8));
     assert_eq!(tiled.bands().len(), 1, "the band split is dead");
     let mut serial = SweepEngine::new(&sp, UpdateMethod::Jacobi);
     tiled.step();
@@ -1465,17 +1476,18 @@ fn fdx022_witness_tile_depth_geometry() {
     // Dynamically (Warn, band collapse): 17 interior rows at depth 4
     // hold at most 4 halo-safe bands, not the 7 requested.
     let sp = benchmark_problem::<f32>(PdeKind::Laplace, 19, 0).unwrap();
-    let tiled = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, 4, 7);
+    let tiled = SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, tiled_plan(7, 4));
     let bands = tiled.bands().len();
     assert!(
-        bands < 7 && bands <= 17 / 4,
+        bands <= 17 / 4,
         "the halo-aware split sheds parallelism: {bands} bands"
     );
 
     // Dynamically (Warn, cap): a depth-8 engine capped at 5 iterations
     // truncates its very first epoch.
     let sp = benchmark_problem::<f32>(PdeKind::Laplace, 16, 0).unwrap();
-    let mut capped = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, 8, 1).with_iteration_cap(5);
+    let mut capped =
+        SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, tiled_plan(1, 8)).with_iteration_cap(5);
     capped.step();
     assert_eq!(
         capped.iterations(),

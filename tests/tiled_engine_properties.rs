@@ -1,26 +1,30 @@
-//! Property test pinning the temporally tiled engine to the serial
+//! Property test pinning the temporally tiled plans to the serial
 //! sweeps.
 //!
-//! [`TiledSweepEngine`] fuses `k` whole sweeps per cache pass over a
-//! skewed row wavefront. Its documented contract is *tolerance*
-//! equivalence to the serial [`SweepEngine`] (the wavefront may in
-//! principle regroup the diff² reduction), tightening to **bit**
-//! identity at `k = 1`, plus exact iteration accounting: a step
-//! advances the counter by a whole epoch, truncated only by an
+//! A [`SweepEngine`] on a plan with `tile_depth = k` fuses `k` whole
+//! sweeps per cache pass over a skewed row wavefront. Its documented
+//! contract is *tolerance* equivalence to the serial plan (the
+//! wavefront may in principle regroup the diff² reduction), tightening
+//! to **bit** identity at `k = 1`, plus exact iteration accounting: a
+//! step advances the counter by a whole epoch, truncated only by an
 //! iteration cap. This suite hammers all three promises with
 //! deterministic randomness ([`DetRng`]): every benchmark PDE family,
 //! both working precisions, degenerate shapes (3-row interiors,
 //! non-square grids), tile depths 1/2/4/8 and band counts that divide
 //! the interior evenly, unevenly and not at all.
+//!
+//! A state image carries no plan, so the last suite exports one
+//! mid-run and restores it into an engine on a *different* plan: the
+//! resumed run must still match an uninterrupted serial one.
 
 use detrng::DetRng;
-use fdm::engine::{SolveEngine, SweepEngine};
+use fdm::convergence::StopCondition;
+use fdm::engine::{Budget, EngineError, Session, SolveEngine, SweepEngine, SweepPlan};
 use fdm::grid::Grid2D;
 use fdm::pde::{OffsetField, PdeKind, RunMode, StencilProblem};
 use fdm::precision::Scalar;
 use fdm::solver::UpdateMethod;
 use fdm::stencil::FivePointStencil;
-use fdm::tiled::TiledSweepEngine;
 
 const DEPTHS: [usize; 4] = [1, 2, 4, 8];
 const THREADS: [usize; 3] = [1, 2, 7];
@@ -90,7 +94,12 @@ fn rel_err(a: f64, b: f64) -> f64 {
 
 /// Asserts the tiled field matches the serial one within `tol`
 /// relative error — and bitwise when `tol` is zero.
-fn assert_fields_equivalent<T: Scalar>(tiled: &Grid2D<T>, serial: &Grid2D<T>, tol: f64, what: &str) {
+fn assert_fields_equivalent<T: Scalar>(
+    tiled: &Grid2D<T>,
+    serial: &Grid2D<T>,
+    tol: f64,
+    what: &str,
+) {
     assert_eq!(tiled.rows(), serial.rows(), "{what}: row count");
     assert_eq!(tiled.cols(), serial.cols(), "{what}: col count");
     for (idx, (x, y)) in tiled.as_slice().iter().zip(serial.as_slice()).enumerate() {
@@ -119,7 +128,11 @@ fn check_epochs<T: Scalar>(
     tol: f64,
 ) {
     let mut serial = SweepEngine::new(sp, method);
-    let mut tiled = TiledSweepEngine::new(sp, method, k, threads);
+    let plan = SweepPlan {
+        threads,
+        tile_depth: k,
+    };
+    let mut tiled = SweepEngine::with_plan(sp, method, plan);
     // k = 1 epochs are plain sweeps: the engine owes bit identity.
     let tol = if k == 1 { 0.0 } else { tol };
     for epoch in 0..3 {
@@ -204,8 +217,12 @@ fn iteration_cap_accounting_is_exact() {
         let k = DEPTHS[rng.gen_range(0, DEPTHS.len())];
         let cap = rng.gen_range(1, 20);
         let sp: StencilProblem<f64> = random_problem(&mut rng, PdeKind::Laplace, rows, cols);
-        let mut tiled = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, k, 2)
-            .with_iteration_cap(cap);
+        let plan = SweepPlan {
+            threads: 2,
+            tile_depth: k,
+        };
+        let mut tiled =
+            SweepEngine::with_plan(&sp, UpdateMethod::Jacobi, plan).with_iteration_cap(cap);
         let mut expected = 0usize;
         while expected < cap {
             tiled.step();
@@ -227,5 +244,112 @@ fn iteration_cap_accounting_is_exact() {
             1e-12,
             &format!("capped rows={rows} cols={cols} k={k} cap={cap}"),
         );
+    }
+}
+
+/// The plans of the cross-plan restore matrix `{threads, tile_depth}`:
+/// serial, banded at an even and an uneven split, and two tiled depths.
+const RESTORE_PLANS: [(usize, usize); 5] = [(1, 1), (2, 1), (7, 1), (2, 2), (2, 4)];
+
+/// Runs `sp` for `sweeps` sweeps, stopping a `from`-plan engine at a
+/// random sweep count through its budget deadline, exporting its state
+/// and finishing on a fresh `to`-plan engine restored from the image.
+/// Returns the restored engine's final state image.
+fn resumed_across_plans<T: Scalar>(
+    rng: &mut DetRng,
+    sp: &StencilProblem<T>,
+    method: UpdateMethod,
+    from: SweepPlan,
+    to: SweepPlan,
+    sweeps: usize,
+    what: &str,
+) -> fdm::engine::EngineStateImage {
+    let stop = StopCondition::fixed_steps(sweeps);
+    let at = rng.gen_range(1, sweeps);
+    let mut head = Session::new(SweepEngine::with_plan(sp, method, from), stop)
+        .with_budget(Budget::deadline(at));
+    assert_eq!(
+        head.run(),
+        Err(EngineError::DeadlineExceeded { iteration: at }),
+        "{what}: the deadline stops the head exactly at sweep {at}"
+    );
+    assert_eq!(head.sweeps_executed(), at, "{what}: billed in sweeps");
+    let image = head.engine().export_state().expect("sweep engines export");
+    assert_eq!(image.iterations, at, "{what}: image stamp");
+
+    let mut tail = SweepEngine::with_plan(sp, method, to);
+    assert!(tail.restore_state(&image), "{what}: restore across plans");
+    let mut rest = Session::new(&mut tail, stop);
+    assert!(rest.run().expect("no policy, no failure"), "{what}");
+    assert_eq!(
+        rest.sweeps_executed(),
+        sweeps - at,
+        "{what}: only the rest ran"
+    );
+    drop(rest);
+    assert_eq!(tail.iterations(), sweeps, "{what}: lands on the stop");
+    tail.export_state().expect("sweep engines export")
+}
+
+fn run_cross_plan_restores<T: Scalar>(rng: &mut DetRng, tol: f64) {
+    const SWEEPS: usize = 12;
+    for kind in KINDS {
+        let (rows, cols) = (rng.gen_range(5, 30), rng.gen_range(5, 30));
+        let sp: StencilProblem<T> = random_problem(rng, kind, rows, cols);
+        for method in METHODS {
+            let mut serial = SweepEngine::new(&sp, method);
+            for _ in 0..SWEEPS {
+                serial.step();
+            }
+            let want = serial.export_state().expect("sweep engines export");
+            for (i, &(threads, k)) in RESTORE_PLANS.iter().enumerate() {
+                // Any other plan of the matrix, chosen at random.
+                let j = (i + rng.gen_range(1, RESTORE_PLANS.len())) % RESTORE_PLANS.len();
+                let (to_threads, to_k) = RESTORE_PLANS[j];
+                let from = SweepPlan {
+                    threads,
+                    tile_depth: k,
+                };
+                let to = SweepPlan {
+                    threads: to_threads,
+                    tile_depth: to_k,
+                };
+                let what = format!("{kind:?} {method:?} {rows}x{cols} {from:?} -> {to:?}");
+                let got = resumed_across_plans(rng, &sp, method, from, to, SWEEPS, &what);
+                // Bitwise when neither side fuses sweeps, else the
+                // tiled tolerance contract.
+                let tol = if k == 1 && to_k == 1 { 0.0 } else { tol };
+                let field = |img: &fdm::engine::EngineStateImage| img.cur_grid::<T>().unwrap();
+                assert_fields_equivalent(&field(&got), &field(&want), tol, &what);
+                match (got.prev_grid::<T>(), want.prev_grid::<T>()) {
+                    (Some(g), Some(w)) => {
+                        assert_fields_equivalent(&g, &w, tol, &format!("{what}: wave history"));
+                    }
+                    (None, None) => {}
+                    _ => panic!("{what}: wave history presence differs"),
+                }
+            }
+        }
+    }
+}
+
+/// Cross-plan restore: every PDE family (the wave equation's history
+/// field included), both precisions, plans {1,1}, {2,1}, {7,1}, {2,2}
+/// and {2,4}. Each case stops at a random sweep through its deadline,
+/// restores the image into a fresh engine on another plan and runs to
+/// the end; the result matches an uninterrupted serial run.
+#[test]
+fn state_images_resume_across_plans_f64() {
+    let mut rng = DetRng::seed_from_u64(0xFD_71_1E_04);
+    for _ in 0..2 {
+        run_cross_plan_restores::<f64>(&mut rng, 1e-12);
+    }
+}
+
+#[test]
+fn state_images_resume_across_plans_f32() {
+    let mut rng = DetRng::seed_from_u64(0xFD_71_1E_05);
+    for _ in 0..2 {
+        run_cross_plan_restores::<f32>(&mut rng, 1e-5);
     }
 }
