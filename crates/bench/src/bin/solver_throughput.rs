@@ -27,10 +27,20 @@
 //! and the k-deep tile at 12/k, and each variant's achieved MLUP/s is
 //! reported against its attainable ceiling.
 //!
+//! A `crossover` block prices the spawn floor
+//! ([`fdm::engine::MIN_SPAWN_LUPS_PER_BAND`]): per-sweep time of the
+//! plans `SERIAL`, `{2, 1}` and `{2, 4}` for Jacobi and checkerboard on
+//! grids of side 16 to 384, as median, p10 and p90 over
+//! [`CROSSOVER_REPEATS`] interleaved samples, each cell tagged with
+//! whether the plan spawns there. `--validate` gates one ratio taken
+//! within that single run: at 16², where the bands run inline, `{2, 1}`
+//! takes at most [`MAX_INLINE_OVER_SERIAL`]× the serial sweep.
+//!
 //! A timing-free *identity* section records residual-norm or
 //! field-checksum **bit patterns** per variant, each row tagged with its
 //! contract: `bitwise` rows must agree exactly (Jacobi/Checkerboard
-//! across thread counts 1/2/4/7; the final *field* across
+//! across thread counts 1/2/4/7, on a grid whose bands run inline and
+//! on one whose bands spawn; the final *field* across
 //! baseline/scalar-rows/SIMD/threaded paths — lane-folding regroups only
 //! the diff² reduction, never the field), `tolerance` rows within 1e-9
 //! relative (the tiled engine's documented contract, and the CSR CG
@@ -48,7 +58,7 @@
 use std::time::Instant;
 
 use fdm::convergence::StopCondition;
-use fdm::engine::{Session, SolveEngine, SweepEngine, SweepPlan};
+use fdm::engine::{Session, SolveEngine, SweepEngine, SweepPlan, MIN_SPAWN_LUPS_PER_BAND};
 use fdm::grid::Grid2D;
 use fdm::kernels::baseline::sweep_jacobi_indexed;
 use fdm::kernels::OffsetRow;
@@ -68,6 +78,22 @@ const ID_THREADS: [usize; 4] = [1, 2, 4, 7];
 /// bands; 24 steps divide evenly into every tile depth).
 const ID_GRID: usize = 65;
 const ID_STEPS: usize = 24;
+/// Identity grid whose bands are above the spawn floor at every thread
+/// count in [`ID_THREADS`] above 1 (485 interior columns × at least 69
+/// rows per band; uneven at 2, 4 and 7 bands), so the artifact still
+/// witnesses the scoped-thread schedule.
+const SPAWN_ID_GRID: usize = 487;
+/// Grid sides of the crossover block: 384² is the one where the
+/// one-sweep `{2, 1}` bands spawn too.
+const CROSSOVER_SIDES: [usize; 7] = [16, 32, 64, 128, 192, 256, 384];
+/// Timed samples per crossover cell.
+const CROSSOVER_REPEATS: usize = 7;
+/// Lattice updates each crossover sample times, so a 16² sample is long
+/// enough to clock and a 384² one stays short.
+const CROSSOVER_SAMPLE_LUPS: usize = 2_000_000;
+/// Most the inline `{2, 1}` plan may take over the serial sweep at 16²
+/// (`--validate` checks the medians the artifact records).
+const MAX_INLINE_OVER_SERIAL: f64 = 1.2;
 /// Tile depths measured per grid (threads from [`tile_threads`]).
 const TILE_DEPTHS: [usize; 3] = [2, 4, 8];
 
@@ -340,6 +366,108 @@ fn roofline(rows: &[ThroughputRow]) -> Roofline {
     }
 }
 
+/// One crossover cell: a plan's per-sweep time on one grid and method.
+struct CrossoverCell {
+    grid: usize,
+    method: &'static str,
+    plan_name: &'static str,
+    plan: SweepPlan,
+    spawns: bool,
+    /// Nanoseconds per sweep: p10, median, p90.
+    ns_per_sweep: [f64; 3],
+    /// Median over the serial plan's median on the same grid and method.
+    over_serial: f64,
+}
+
+/// The crossover block's plans: serial, two bands, and two bands
+/// fusing four sweeps per epoch.
+const CROSSOVER_PLANS: [(&str, SweepPlan); 3] = [
+    ("serial", SweepPlan::SERIAL),
+    (
+        "threads_2",
+        SweepPlan {
+            threads: 2,
+            tile_depth: 1,
+        },
+    ),
+    (
+        "threads_2_k4",
+        SweepPlan {
+            threads: 2,
+            tile_depth: 4,
+        },
+    ),
+];
+
+/// Nearest-rank quantile `q` of ascending `sorted`.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+/// Measures the crossover block. The plans' samples are interleaved
+/// within each repeat, so host drift lands on every plan alike.
+fn crossover() -> Vec<CrossoverCell> {
+    let mut cells = Vec::new();
+    for n in CROSSOVER_SIDES {
+        let sp = problem(n);
+        // Whole 4-sweep epochs, so every plan runs the same sweep count.
+        let sweeps = (CROSSOVER_SAMPLE_LUPS / ((n - 2) * (n - 2))).max(4) / 4 * 4;
+        for (method, name) in [
+            (UpdateMethod::Jacobi, "jacobi"),
+            (UpdateMethod::Checkerboard, "checkerboard"),
+        ] {
+            let mut engines: Vec<SweepEngine<'_, f32>> = CROSSOVER_PLANS
+                .iter()
+                .map(|&(_, plan)| SweepEngine::with_plan(&sp, method, plan))
+                .collect();
+            let mut samples = vec![Vec::with_capacity(CROSSOVER_REPEATS); engines.len()];
+            for engine in &mut engines {
+                engine.step(); // warm-up
+            }
+            for _ in 0..CROSSOVER_REPEATS {
+                for (engine, out) in engines.iter_mut().zip(&mut samples) {
+                    let steps = sweeps / engine.sweeps_per_step();
+                    let t = Instant::now();
+                    for _ in 0..steps {
+                        engine.step();
+                    }
+                    out.push(t.elapsed().as_secs_f64() * 1e9 / sweeps as f64);
+                }
+            }
+            let mut serial_p50 = 0.0;
+            for (&(plan_name, plan), mut ns) in CROSSOVER_PLANS.iter().zip(samples) {
+                ns.sort_by(f64::total_cmp);
+                let ns_per_sweep = [quantile(&ns, 0.1), quantile(&ns, 0.5), quantile(&ns, 0.9)];
+                if plan == SweepPlan::SERIAL {
+                    serial_p50 = ns_per_sweep[1];
+                }
+                cells.push(CrossoverCell {
+                    grid: n,
+                    method: name,
+                    plan_name,
+                    plan,
+                    spawns: plan.spawns(n, n, method),
+                    ns_per_sweep,
+                    over_serial: ns_per_sweep[1] / serial_p50,
+                });
+            }
+            let row = &cells[cells.len() - CROSSOVER_PLANS.len()..];
+            println!(
+                "crossover {n:>3}^2 {name:>12}: ns/sweep p50 serial {:8.1} | {{2,1}} {:8.1} \
+                 ({:5.2}x{}) | {{2,4}} {:8.1} ({:5.2}x{})",
+                row[0].ns_per_sweep[1],
+                row[1].ns_per_sweep[1],
+                row[1].over_serial,
+                if row[1].spawns { ", spawns" } else { "" },
+                row[2].ns_per_sweep[1],
+                row[2].over_serial,
+                if row[2].spawns { ", spawns" } else { "" },
+            );
+        }
+    }
+    cells
+}
+
 /// Per-row agreement contract of the identity section.
 #[derive(Clone, Copy, PartialEq)]
 enum Contract {
@@ -359,7 +487,8 @@ impl Contract {
 }
 
 struct IdentityRow {
-    method: &'static str,
+    method: String,
+    grid: usize,
     contract: Contract,
     /// What produced each entry (thread count or solver path).
     variants: Vec<String>,
@@ -379,16 +508,19 @@ fn field_checksum(grid: &Grid2D<f32>) -> u64 {
     h
 }
 
-/// Runs the identity matrix and asserts bit-identical results in-process
-/// (the artifact lets CI re-assert it without re-running the engines).
-fn identity_matrix() -> Vec<IdentityRow> {
-    let sp = problem(ID_GRID);
+/// Runs the identity matrix on an `n`² grid and asserts bit-identical
+/// results in-process (the artifact lets CI re-assert it without
+/// re-running the engines). Rows are named after the method plus
+/// `suffix`.
+fn identity_matrix(n: usize, suffix: &str) -> Vec<IdentityRow> {
+    let sp = problem(n);
     [
         (UpdateMethod::Jacobi, "jacobi"),
         (UpdateMethod::Checkerboard, "checkerboard"),
     ]
     .into_iter()
     .map(|(method, name)| {
+        let name = format!("{name}{suffix}");
         let mut residual_bits = Vec::new();
         let mut iterations = Vec::new();
         for threads in ID_THREADS {
@@ -408,12 +540,25 @@ fn identity_matrix() -> Vec<IdentityRow> {
             iterations.iter().all(|&it| it == ID_STEPS),
             "{name}: iteration counts drifted: {iterations:?}"
         );
+        let spawning: Vec<usize> = ID_THREADS
+            .into_iter()
+            .filter(|&t| banded(t).spawns(n, n, method))
+            .collect();
+        if n == SPAWN_ID_GRID {
+            assert_eq!(
+                spawning,
+                ID_THREADS[1..],
+                "{name}: every multi-band plan spawns"
+            );
+        }
         println!(
-            "identity {name:>12}: residual bits {:#018x} at every thread count {ID_THREADS:?}",
+            "identity {name:>20}: residual bits {:#018x} at every thread count {ID_THREADS:?} \
+             ({n}^2, bands spawn at {spawning:?})",
             residual_bits[0]
         );
         IdentityRow {
             method: name,
+            grid: n,
             contract: Contract::Bitwise,
             variants: ID_THREADS.iter().map(|t| format!("threads_{t}")).collect(),
             residual_bits,
@@ -476,7 +621,8 @@ fn simd_field_identity() -> IdentityRow {
         residual_bits[0]
     );
     IdentityRow {
-        method: "simd_field",
+        method: "simd_field".into(),
+        grid: ID_GRID,
         contract: Contract::Bitwise,
         variants: [
             "baseline_indexed",
@@ -531,7 +677,8 @@ fn tiled_identity() -> IdentityRow {
         residual_bits[0]
     );
     IdentityRow {
-        method: "tiled_jacobi",
+        method: "tiled_jacobi".into(),
+        grid: ID_GRID,
         contract: Contract::Tolerance,
         variants,
         residual_bits,
@@ -602,7 +749,8 @@ fn matrix_free_cg_identity() -> IdentityRow {
         residual_bits[0]
     );
     IdentityRow {
-        method: "matrix_free_cg",
+        method: "matrix_free_cg".into(),
+        grid: ID_GRID,
         contract: Contract::Bitwise,
         variants: [
             "krylov_engine",
@@ -622,6 +770,7 @@ fn render_json(
     mode: &str,
     rows: &[ThroughputRow],
     roof: &Roofline,
+    cross: &[CrossoverCell],
     identity: &[IdentityRow],
 ) -> String {
     let throughput = rows
@@ -685,6 +834,34 @@ fn render_json(
          \"stream_bandwidth_gbps\": {:.3},\n    \"rows\": [\n{roof_rows}\n    ]\n  }}",
         roof.grid, roof.stream_gbps,
     );
+    // One cell per line, so `--validate` can read a cell by its line.
+    let cross_rows = cross
+        .iter()
+        .map(|c| {
+            format!(
+                "      {{\"grid\": {}, \"method\": \"{}\", \"plan\": \"{}\", \"threads\": {}, \
+                 \"tile_depth\": {}, \"spawns\": {}, \"ns_per_sweep_p10\": {:.1}, \
+                 \"ns_per_sweep_p50\": {:.1}, \"ns_per_sweep_p90\": {:.1}, \
+                 \"over_serial_p50\": {:.3}}}",
+                c.grid,
+                c.method,
+                c.plan_name,
+                c.plan.threads,
+                c.plan.tile_depth,
+                c.spawns,
+                c.ns_per_sweep[0],
+                c.ns_per_sweep[1],
+                c.ns_per_sweep[2],
+                c.over_serial,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let crossover = format!(
+        "  \"crossover\": {{\n    \"repeats\": {CROSSOVER_REPEATS},\n    \
+         \"min_spawn_lups_per_band\": {MIN_SPAWN_LUPS_PER_BAND},\n    \
+         \"rows\": [\n{cross_rows}\n    ]\n  }}"
+    );
     let identity = identity
         .iter()
         .map(|row| {
@@ -708,11 +885,12 @@ fn render_json(
                 .join(", ");
             format!(
                 "    {{\n      \"method\": \"{}\",\n      \"contract\": \"{}\",\n      \
-                 \"grid\": {ID_GRID},\n      \
+                 \"grid\": {},\n      \
                  \"steps\": {ID_STEPS},\n      \"variants\": [{variants}],\n      \
                  \"residual_bits\": [{bits}],\n      \"iterations\": [{iters}]\n    }}",
                 row.method,
                 row.contract.name(),
+                row.grid,
             )
         })
         .collect::<Vec<_>>()
@@ -720,7 +898,7 @@ fn render_json(
     format!(
         "{{\n  \"benchmark\": \"solver_throughput\",\n  \"mode\": \"{mode}\",\n  \
          \"element_type\": \"f32\",\n  \"throughput\": [\n{throughput}\n  ],\n\
-         {roofline},\n  \
+         {roofline},\n{crossover},\n  \
          \"identity\": [\n{identity}\n  ]\n}}\n"
     )
 }
@@ -759,10 +937,45 @@ fn json_strings<'a>(text: &'a str, key: &str) -> Vec<&'a str> {
     out
 }
 
-/// Validates a previously written artifact: required schema keys present
-/// and every identity row honouring its tagged contract — `bitwise`
-/// rows exactly variant-invariant, `tolerance` rows (tiled epochs, the
-/// CSR oracle) within 1e-9 relative across their f64 norm bits. Timings
+/// The number after `"key": ` on `line`.
+fn json_number(line: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\": ");
+    let rest = &line[line.find(&needle)? + needle.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// Checks the crossover block's one gated ratio: at 16² the inline
+/// `{2, 1}` plan's median sweep takes at most [`MAX_INLINE_OVER_SERIAL`]×
+/// the serial one, for both methods. Both medians come from the same
+/// run, so the ratio does not depend on how fast the host is.
+fn validate_crossover(path: &str, text: &str) -> Result<(), String> {
+    for method in ["jacobi", "checkerboard"] {
+        let cell = text
+            .lines()
+            .find(|l| {
+                l.contains("\"grid\": 16,")
+                    && l.contains(&format!("\"method\": \"{method}\""))
+                    && l.contains("\"plan\": \"threads_2\"")
+            })
+            .ok_or_else(|| format!("{path}: no 16^2 {method} threads_2 crossover cell"))?;
+        let ratio = json_number(cell, "over_serial_p50")
+            .ok_or_else(|| format!("{path}: 16^2 {method} cell has no over_serial_p50"))?;
+        if ratio.is_nan() || ratio > MAX_INLINE_OVER_SERIAL {
+            return Err(format!(
+                "{path}: at 16^2 the {{2,1}} {method} sweep takes {ratio:.3}x the serial one \
+                 (max {MAX_INLINE_OVER_SERIAL})"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Validates a previously written artifact: required schema keys
+/// present, every identity row honouring its tagged contract —
+/// `bitwise` rows exactly variant-invariant, `tolerance` rows (tiled
+/// epochs, the CSR oracle) within 1e-9 relative across their f64 norm
+/// bits — and the crossover block's within-run ratio. Absolute timings
 /// are deliberately **not** checked — they are host properties.
 fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -770,6 +983,8 @@ fn validate(path: &str) -> Result<(), String> {
         "\"benchmark\": \"solver_throughput\"",
         "\"throughput\":",
         "\"roofline\":",
+        "\"crossover\":",
+        "\"ns_per_sweep_p50\":",
         "\"identity\":",
         "\"scalar_baseline_mlups\":",
         "\"kernelized_serial_mlups\":",
@@ -783,6 +998,7 @@ fn validate(path: &str) -> Result<(), String> {
         "\"method\": \"simd_field\"",
         "\"method\": \"tiled_jacobi\"",
         "\"method\": \"matrix_free_cg\"",
+        "\"method\": \"jacobi_spawned\"",
     ] {
         if !text.contains(key) {
             return Err(format!("{path}: missing {key}"));
@@ -853,6 +1069,7 @@ fn validate(path: &str) -> Result<(), String> {
             ));
         }
     }
+    validate_crossover(path, &text)?;
     println!(
         "{path}: schema ok, {} identity rows honour their contracts ({} bitwise, {} tolerance)",
         residuals.len(),
@@ -898,11 +1115,13 @@ fn main() {
     };
     let rows = measure(sizes);
     let roof = roofline(&rows);
-    let mut identity = identity_matrix();
+    let cross = crossover();
+    let mut identity = identity_matrix(ID_GRID, "");
     identity.push(simd_field_identity());
     identity.push(tiled_identity());
     identity.push(matrix_free_cg_identity());
-    let json = render_json(mode, &rows, &roof, &identity);
+    identity.extend(identity_matrix(SPAWN_ID_GRID, "_spawned"));
+    let json = render_json(mode, &rows, &roof, &cross, &identity);
     std::fs::write(&out, &json).expect("write artifact");
     println!(
         "wrote {out} ({mode} mode) in {:.2}s of wall time",

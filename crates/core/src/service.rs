@@ -205,7 +205,8 @@ pub enum Rung {
     /// Hardware-semantics [`HwReferenceEngine`] (bit-exact, no timing).
     Reference,
     /// Strip-parallel software sweeps: [`SweepEngine`] on the plan
-    /// `{parallel_threads, 1}`, row bands on scoped threads,
+    /// `{parallel_threads, 1}`, row bands on scoped threads once they
+    /// reach the spawn floor ([`fdm::engine::SweepPlan::spawns`]),
     /// bit-identical to the serial sweeps.
     Parallel,
     /// Temporal wavefront tiling: [`SweepEngine`] on the plan

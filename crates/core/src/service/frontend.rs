@@ -29,7 +29,13 @@
 //!   failing them: p99 over 1x budget enters at [`Rung::Parallel`],
 //!   over 2x at the cache-blocked [`Rung::Tiled`], over 4x at
 //!   [`Rung::Software`], and over 8x at the O(1) [`Rung::Estimate`].
-//!   Critical tenants are never degraded.
+//!   Critical tenants are never degraded. "Cheaper" is in virtual time,
+//!   which skips the simulator; in wall-clock time the three software
+//!   rungs are one engine, and on the service's small grids their bands
+//!   sit below the spawn floor and run inline, so [`Rung::Parallel`]
+//!   costs what [`Rung::Software`] costs. [`Rung::Tiled`] still pays
+//!   for its wavefront pipeline and halo rows, which save no memory
+//!   traffic on an in-cache grid (DESIGN.md §11).
 //!
 //! # Determinism
 //!

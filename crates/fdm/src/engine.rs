@@ -971,13 +971,17 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
 /// chains — one operator, with the worker count and the fused-sweep
 /// depth as parameters instead of separate engine types.
 ///
-/// | plan | Jacobi, checkerboard | Hybrid, Gauss-Seidel, SOR |
-/// |---|---|---|
-/// | one band, `tile_depth == 1` | serial sweeps | serial sweeps |
-/// | several bands, `tile_depth == 1` | banded step on scoped threads | serial sweeps |
-/// | `tile_depth > 1` | wavefront epoch of `tile_depth` fused sweeps ([`crate::tiled`]) | serial sweeps |
+/// | plan | Jacobi, checkerboard | Hybrid, Gauss-Seidel, SOR | bands spawn |
+/// |---|---|---|---|
+/// | one band, `tile_depth == 1` | serial sweeps | serial sweeps | never |
+/// | several bands, `tile_depth == 1` | banded step | serial sweeps | from the floor |
+/// | `tile_depth > 1` | wavefront epoch of `tile_depth` fused sweeps ([`crate::tiled`]) | serial sweeps | from the floor |
 ///
-/// The serial and banded schedules are bit-identical, fields and
+/// A step's bands run on scoped threads only when every band's work
+/// per step reaches [`MIN_SPAWN_LUPS_PER_BAND`] ([`SweepPlan::spawns`]);
+/// below that floor the same bands run one after another on the calling
+/// thread, writing the same partials, so the choice never changes a
+/// bit. The serial and banded schedules are bit-identical, fields and
 /// residual histories, at any thread count. The wavefront is
 /// bit-identical at the same sweep counts in practice; its documented
 /// contract is ≤1e-12 relative (f64), so a future tile schedule may
@@ -1021,14 +1025,52 @@ impl SweepPlan {
             row_bands(rows, 1)
         }
     }
+
+    /// Whether a step's [`bands`](SweepPlan::bands) on a `rows × cols`
+    /// grid run on scoped threads: only when there are several and each
+    /// does at least [`MIN_SPAWN_LUPS_PER_BAND`] lattice-point updates
+    /// per step (its interior points × the sweeps in the step). Below
+    /// that floor the spawn costs more than the band's sweep, so the
+    /// bands run one after another on the calling thread instead.
+    #[must_use]
+    pub fn spawns(self, rows: usize, cols: usize, method: UpdateMethod) -> bool {
+        let bands = self.bands(rows, method);
+        let sweeps = if Self::is_data_parallel(method) {
+            self.tile_depth.max(1)
+        } else {
+            1
+        };
+        let interior_cols = cols.saturating_sub(2);
+        bands.len() > 1
+            && bands
+                .iter()
+                .all(|b| b.len() * interior_cols * sweeps >= MIN_SPAWN_LUPS_PER_BAND)
+    }
 }
+
+/// The least work, in lattice-point updates per band per step, for
+/// which a [`SweepEngine`] runs its bands on scoped threads.
+///
+/// A scoped spawn and join costs tens of µs; a serial sweep of a
+/// service-sized 8–21² grid costs well under one. Priced the kerncraft
+/// way — a fixed synchronisation cost plus a per-update cost — the
+/// threads only pay once each band's share of the step outweighs the
+/// spawn. On a 2-core x86-64 host, two spawned bands of one sweep were
+/// still 1.3× the serial sweep at 192² and tied with it at 256² (about
+/// 32k updates per band); a `{2, 4}` epoch tied at 160², about 12k
+/// points × 4 sweeps per band. So at two bands a one-sweep step runs
+/// inline up to a 256² grid (32,258 updates per band) and spawns from
+/// a 256² interior (32,768), and a `{2, 4}` epoch spawns from a 128²
+/// interior. It is a constant, not a setting: the choice never changes
+/// a result bit.
+pub const MIN_SPAWN_LUPS_PER_BAND: usize = 32_768;
 
 /// Which of the three step schedules a [`SweepEngine`]'s plan selects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Schedule {
     /// The serial sweeps of [`crate::solver`].
     Serial,
-    /// One sweep with the bands on scoped threads.
+    /// One sweep over the bands, on scoped threads from the spawn floor.
     Banded,
     /// Fused epochs over the skewed row wavefront of [`crate::tiled`].
     Wavefront,
@@ -1091,8 +1133,8 @@ struct SweepCheckpoint<T> {
 ///   per worker, exactly as the elastic reconfiguration assigns row
 ///   strips to chained subarrays; the rows adjacent to a band boundary
 ///   play the role of the `HaloAdders`' one-row halo exchange. Bands
-///   run on [`std::thread::scope`] and record per-row diff² partials
-///   that are folded in ascending row order after the join. Jacobi
+///   record per-row diff² partials that are folded in ascending row
+///   order once every band has run. Jacobi
 ///   parallelises trivially (every output row depends only on the
 ///   previous iterate); a checkerboard phase-`p` update reads only
 ///   opposite-parity neighbours, which the running phase never writes,
@@ -1102,14 +1144,21 @@ struct SweepCheckpoint<T> {
 ///   [`SolveEngine::iterations`] advances by `e` and the norm is the
 ///   last fused sweep's, so residual histories are epoch-granular.
 ///
-/// Buffers rotate by pointer swap; the only per-step copy is the wave
-/// history snapshot, kept in a reused scratch buffer.
+/// Both multi-band schedules hand their bands to one executor
+/// (`run_bands`): on [`std::thread::scope`] when the plan
+/// [spawns](SweepPlan::spawns) on this grid, else one after another on
+/// the calling thread. Buffers rotate by pointer swap; the only
+/// per-step copy is the wave history snapshot, kept in a reused
+/// scratch buffer.
 #[derive(Debug)]
 pub struct SweepEngine<'p, T: Scalar> {
     problem: &'p StencilProblem<T>,
     method: UpdateMethod,
     plan: SweepPlan,
     schedule: Schedule,
+    /// Whether the bands run on scoped threads ([`SweepPlan::spawns`]),
+    /// fixed at construction.
+    spawn: bool,
     /// Sweeps per step: the tile depth under the wavefront, else 1.
     depth: usize,
     /// Iteration count the final wavefront epoch truncates at.
@@ -1132,6 +1181,9 @@ pub struct SweepEngine<'p, T: Scalar> {
     /// Banded checkerboard: pre-phase snapshots of the rows above and
     /// below each band (the `HaloAdder` analogue).
     halos: Vec<(Vec<T>, Vec<T>)>,
+    /// Wavefront: each band's ring buffers, one run of
+    /// [`ring_len`] elements per band.
+    rings: Vec<T>,
 }
 
 impl<'p, T: Scalar> SweepEngine<'p, T> {
@@ -1182,6 +1234,7 @@ impl<'p, T: Scalar> SweepEngine<'p, T> {
             1
         };
         let bands = plan.bands(rows, method);
+        let spawn = plan.spawns(rows, cur.cols(), method);
         let schedule = if depth > 1 {
             Schedule::Wavefront
         } else if bands.len() > 1 {
@@ -1200,11 +1253,18 @@ impl<'p, T: Scalar> SweepEngine<'p, T> {
         } else {
             Vec::new()
         };
+        let rings = match schedule {
+            Schedule::Wavefront => {
+                vec![T::ZERO; bands.len() * ring_len(levels(method, depth), cur.cols())]
+            }
+            _ => Vec::new(),
+        };
         SweepEngine {
             problem,
             method,
             plan,
             schedule,
+            spawn,
             depth,
             cap: None,
             next: cur.clone(),
@@ -1217,6 +1277,7 @@ impl<'p, T: Scalar> SweepEngine<'p, T> {
             bands,
             partials,
             halos,
+            rings,
         }
     }
 
@@ -1359,36 +1420,32 @@ impl<'p, T: Scalar> SweepEngine<'p, T> {
         let prev = self.prev.as_ref();
         let cur = &self.cur;
         let (rows, cols) = (cur.rows(), cur.cols());
-        let mut out_rem = &mut self.next.as_mut_slice()[cols..(rows - 1) * cols];
-        let mut d_rem = &mut self.partials[1..rows - 1];
-        let mut work: Vec<(Range<usize>, &mut [T], &mut [f64])> =
-            Vec::with_capacity(self.bands.len());
-        for band in &self.bands {
-            let h = band.len();
-            let (out, rest) = core::mem::take(&mut out_rem).split_at_mut(h * cols);
-            out_rem = rest;
-            let (d, rest) = core::mem::take(&mut d_rem).split_at_mut(h);
-            d_rem = rest;
-            work.push((band.clone(), out, d));
-        }
-        let run_band = |band: Range<usize>, out: &mut [T], d: &mut [f64]| {
-            for (r, i) in band.enumerate() {
-                let b = OffsetRow::for_row(offset, prev, i);
-                d[r] = jacobi_row(
-                    stencil,
-                    cur.row(i - 1),
-                    cur.row(i),
-                    cur.row(i + 1),
-                    b,
-                    &mut out[r * cols..(r + 1) * cols],
-                );
-            }
-        };
-        std::thread::scope(|s| {
-            for (band, out, d) in work {
-                s.spawn(move || run_band(band, out, d));
-            }
-        });
+        let bands = &self.bands;
+        let out = band_chunks(
+            &mut self.next.as_mut_slice()[cols..(rows - 1) * cols],
+            bands.iter().map(|b| b.len() * cols),
+        );
+        let d = band_chunks(
+            &mut self.partials[1..rows - 1],
+            bands.iter().map(Range::len),
+        );
+        run_bands(
+            self.spawn,
+            bands.iter().zip(out.zip(d)),
+            |(band, (out, d))| {
+                for (r, i) in band.clone().enumerate() {
+                    let b = OffsetRow::for_row(offset, prev, i);
+                    d[r] = jacobi_row(
+                        stencil,
+                        cur.row(i - 1),
+                        cur.row(i),
+                        cur.row(i + 1),
+                        b,
+                        &mut out[r * cols..(r + 1) * cols],
+                    );
+                }
+            },
+        );
         crate::ops::fold_partials(&self.partials[1..rows - 1])
     }
 
@@ -1410,45 +1467,37 @@ impl<'p, T: Scalar> SweepEngine<'p, T> {
                 down.copy_from_slice(self.cur.row(band.end));
             }
             let prev = self.prev.as_ref();
-            let mut field_rem = &mut self.cur.as_mut_slice()[cols..(rows - 1) * cols];
-            let mut d_rem = &mut self.partials[1..rows - 1];
-            #[allow(clippy::type_complexity)]
-            let mut work: Vec<(Range<usize>, &mut [T], &mut [f64], &[T], &[T])> =
-                Vec::with_capacity(self.bands.len());
-            for (band, (up, down)) in self.bands.iter().zip(&self.halos) {
-                let h = band.len();
-                let (chunk, rest) = core::mem::take(&mut field_rem).split_at_mut(h * cols);
-                field_rem = rest;
-                let (d, rest) = core::mem::take(&mut d_rem).split_at_mut(h);
-                d_rem = rest;
-                work.push((band.clone(), chunk, d, up, down));
-            }
-            let run_band = |band: Range<usize>,
-                            chunk: &mut [T],
-                            d: &mut [f64],
-                            up_halo: &[T],
-                            down_halo: &[T]| {
-                let h = band.len();
-                for r in 0..h {
-                    let i = band.start + r;
-                    let b = OffsetRow::for_row(offset, prev, i);
-                    let start = if (i + parity) % 2 == 1 { 1 } else { 2 };
-                    let (head, rest) = chunk.split_at_mut(r * cols);
-                    let (mid, tail) = rest.split_at_mut(cols);
-                    let up: &[T] = if r == 0 {
-                        up_halo
-                    } else {
-                        &head[(r - 1) * cols..]
-                    };
-                    let down: &[T] = if r + 1 == h { down_halo } else { &tail[..cols] };
-                    d[r] = checkerboard_row(stencil, up, mid, down, b, start);
-                }
-            };
-            std::thread::scope(|s| {
-                for (band, chunk, d, up, down) in work {
-                    s.spawn(move || run_band(band, chunk, d, up, down));
-                }
-            });
+            let bands = &self.bands;
+            let field = band_chunks(
+                &mut self.cur.as_mut_slice()[cols..(rows - 1) * cols],
+                bands.iter().map(|b| b.len() * cols),
+            );
+            let d = band_chunks(
+                &mut self.partials[1..rows - 1],
+                bands.iter().map(Range::len),
+            );
+            let work = bands.iter().zip(&self.halos).zip(field.zip(d));
+            run_bands(
+                self.spawn,
+                work,
+                |((band, (up_halo, down_halo)), (chunk, d))| {
+                    let h = band.len();
+                    for r in 0..h {
+                        let i = band.start + r;
+                        let b = OffsetRow::for_row(offset, prev, i);
+                        let start = if (i + parity) % 2 == 1 { 1 } else { 2 };
+                        let (head, rest) = chunk.split_at_mut(r * cols);
+                        let (mid, tail) = rest.split_at_mut(cols);
+                        let up: &[T] = if r == 0 {
+                            up_halo
+                        } else {
+                            &head[(r - 1) * cols..]
+                        };
+                        let down: &[T] = if r + 1 == h { down_halo } else { &tail[..cols] };
+                        d[r] = checkerboard_row(stencil, up, mid, down, b, start);
+                    }
+                },
+            );
             total = crate::ops::fold_partials_from(total, &self.partials[1..rows - 1]);
         }
         total
@@ -1488,36 +1537,29 @@ impl<'p, T: Scalar> SweepEngine<'p, T> {
         }
 
         // Split the shared outputs into per-band chunks: `next`'s owned
-        // interior rows, the stage's owned rows, and the diff² slots.
+        // interior rows, the stage's owned rows, the diff² slots and the
+        // band's ring buffers.
         let problem = self.problem;
         let uses_stage = self.uses_prev && stage_level > 0;
         let prev = self.prev.as_ref();
         let cur = &self.cur;
-        let mut out_rem = &mut self.next.as_mut_slice()[cols..(rows - 1) * cols];
-        let mut stage_rem: &mut [T] = match (uses_stage, self.scratch.as_mut()) {
+        let bands = &self.bands;
+        let rows_of = |stride: usize| bands.iter().map(move |b| b.len() * stride);
+        let out = band_chunks(
+            &mut self.next.as_mut_slice()[cols..(rows - 1) * cols],
+            rows_of(cols),
+        );
+        let stage_rows: &mut [T] = match (uses_stage, self.scratch.as_mut()) {
             (true, Some(stage)) => &mut stage.as_mut_slice()[cols..(rows - 1) * cols],
             _ => &mut [],
         };
-        let mut d_rem = &mut self.partials[s..(rows - 1) * s];
-        #[allow(clippy::type_complexity)]
-        let mut work: Vec<(Range<usize>, &mut [T], Option<&mut [T]>, &mut [f64])> =
-            Vec::with_capacity(self.bands.len());
-        for band in &self.bands {
-            let h = band.len();
-            let (out, rest) = core::mem::take(&mut out_rem).split_at_mut(h * cols);
-            out_rem = rest;
-            let stage = if uses_stage {
-                let (chunk, rest) = core::mem::take(&mut stage_rem).split_at_mut(h * cols);
-                stage_rem = rest;
-                Some(chunk)
-            } else {
-                None
-            };
-            let (d, rest) = core::mem::take(&mut d_rem).split_at_mut(h * s);
-            d_rem = rest;
-            work.push((band.clone(), out, stage, d));
-        }
-        let run = |band: Range<usize>, out: &mut [T], stage: Option<&mut [T]>, d: &mut [f64]| {
+        let stage = band_chunks(stage_rows, rows_of(if uses_stage { cols } else { 0 }))
+            .map(|chunk| uses_stage.then_some(chunk));
+        let d = band_chunks(&mut self.partials[s..(rows - 1) * s], rows_of(s));
+        let per_band = ring_len(levels(method, self.depth), cols);
+        let rings = band_chunks(&mut self.rings, bands.iter().map(|_| per_band));
+        let work = bands.iter().zip(out.zip(stage)).zip(d.zip(rings));
+        run_bands(self.spawn, work, |((band, (out, stage)), (d, rings))| {
             crate::tiled::band_pipeline(
                 problem,
                 method,
@@ -1525,22 +1567,13 @@ impl<'p, T: Scalar> SweepEngine<'p, T> {
                 stage_level,
                 cur,
                 prev,
-                band,
+                band.clone(),
                 out,
                 stage,
                 d,
+                rings,
             );
-        };
-        if work.len() == 1 {
-            let (band, out, stage, d) = work.pop().expect("one band");
-            run(band, out, stage, d);
-        } else {
-            std::thread::scope(|sc| {
-                for (band, out, stage, d) in work {
-                    sc.spawn(move || run(band, out, stage, d));
-                }
-            });
-        }
+        });
 
         // Fold the last fused sweep's per-row partials in the serial
         // accumulation order (checkerboard: all phase-0 rows ascending,
@@ -1567,6 +1600,45 @@ impl<'p, T: Scalar> SweepEngine<'p, T> {
         core::mem::swap(&mut self.cur, &mut self.next);
         total
     }
+}
+
+/// Splits `rest` into consecutive chunks of the given lengths, lazily,
+/// so a band loop can hand each band its disjoint slice without
+/// collecting them first.
+fn band_chunks<'a, U>(
+    mut rest: &'a mut [U],
+    lens: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = &'a mut [U]> + 'a {
+    lens.map(move |len| {
+        let (chunk, tail) = core::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        chunk
+    })
+}
+
+/// The one band executor: runs `body` on each band's work item, on
+/// [`std::thread::scope`] threads when `spawn`, else one after another
+/// on the calling thread. Bands write disjoint outputs, so the order
+/// they run in never changes a result, and the inline path allocates
+/// nothing.
+fn run_bands<W: Send>(spawn: bool, work: impl Iterator<Item = W>, body: impl Fn(W) + Sync) {
+    if spawn {
+        let body = &body;
+        std::thread::scope(|s| {
+            for item in work {
+                s.spawn(move || body(item));
+            }
+        });
+    } else {
+        work.for_each(body);
+    }
+}
+
+/// Ring-buffer elements one band's wavefront pipeline needs for `s`
+/// sub-levels of `cols`-wide rows ([`crate::tiled::RING`] rows per
+/// intermediate level).
+fn ring_len(s: usize, cols: usize) -> usize {
+    s.saturating_sub(1) * crate::tiled::RING * cols
 }
 
 impl<T: Scalar> SolveEngine for SweepEngine<'_, T> {
@@ -1877,6 +1949,36 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A 10-row grid `MIN_SPAWN_LUPS_PER_BAND / 4 + 2` columns wide puts
+    /// each of two 4-row bands exactly at the spawn floor, so this test
+    /// (and Miri, which runs it) exercises the scoped-thread path; one
+    /// column fewer runs the same bands inline.
+    #[test]
+    fn parallel_sweep_engine_spawns_at_the_floor() {
+        let cols = MIN_SPAWN_LUPS_PER_BAND / 4 + 2;
+        let sp = LaplaceProblem::builder(10, cols)
+            .boundary(DirichletBoundary::hot_top(1.0))
+            .build()
+            .unwrap()
+            .discretize::<f64>();
+        for method in [UpdateMethod::Jacobi, UpdateMethod::Checkerboard] {
+            assert!(banded(2).spawns(10, cols, method));
+            assert!(!banded(2).spawns(10, cols - 1, method));
+            assert_eq!(banded(2).bands(10, method), vec![1..5, 5..9]);
+            let mut serial = SweepEngine::new(&sp, method);
+            let mut par = SweepEngine::with_plan(&sp, method, banded(2));
+            assert!(
+                par.spawn,
+                "{method:?}: the engine keeps the plan's decision"
+            );
+            for step in 0..2 {
+                let (a, b) = (serial.step().norm.unwrap(), par.step().norm.unwrap());
+                assert_eq!(a.to_bits(), b.to_bits(), "{method:?} norm at step {step}");
+            }
+            assert!(grids_bit_equal(serial.solution(), par.solution()));
         }
     }
 

@@ -84,7 +84,7 @@ use core::ops::Range;
 /// level below, and the wave history reaches at most 4 levels back in
 /// the checkerboard pipeline (`2s-4` phases), whose newest row then
 /// leads the consumer by 4 — so 5 resident rows always cover every read.
-const RING: usize = 5;
+pub(crate) const RING: usize = 5;
 
 /// Constructor shim for the tiled plan, kept because the `perfbench`
 /// benchmark package compiles against this name. It holds no state:
@@ -132,7 +132,11 @@ impl TiledSweepEngine {
 /// rows plus the `s - ℓ`-deep halo each level needs), levels ascending
 /// within a position. Writes owned rows of the final level into `out`,
 /// owned rows of `stage_level` into `stage`, and owned diff² partials
-/// into `d` (stride `s`).
+/// into `d` (stride `s`). `rings` is the band's reused ring storage,
+/// at least `(s - 1) · RING · cols` elements: level `ℓ < s` owns the
+/// `ℓ`-th run of `RING · cols`. Every ring row is written before it is
+/// read within the epoch, so what earlier epochs left there is never
+/// seen.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn band_pipeline<T: Scalar>(
     problem: &StencilProblem<T>,
@@ -145,6 +149,7 @@ pub(crate) fn band_pipeline<T: Scalar>(
     out: &mut [T],
     mut stage: Option<&mut [T]>,
     d: &mut [f64],
+    rings: &mut [T],
 ) {
     let (rows, cols) = (cur.rows(), cur.cols());
     let (lo, hi) = (band.start, band.end);
@@ -152,7 +157,7 @@ pub(crate) fn band_pipeline<T: Scalar>(
     // widened by the `s - ℓ` rows the levels above still need.
     let lvl_lo = |l: usize| lo.saturating_sub(s - l).max(1);
     let lvl_hi = |l: usize| (hi + (s - l)).min(rows - 1);
-    let mut rings: Vec<Vec<T>> = (1..s).map(|_| vec![T::ZERO; RING * cols]).collect();
+    let ring = RING * cols;
     let p_min = lvl_lo(1);
     let p_max = hi - 1 + (s - 1);
     for p in p_min..=p_max {
@@ -165,12 +170,12 @@ pub(crate) fn band_pipeline<T: Scalar>(
             }
             // Split the rings so levels below ℓ are readable while ℓ's
             // own ring (or the shared outputs) is writable.
-            let (lower, upper) = rings.split_at_mut(l - 1);
+            let (lower, upper) = rings.split_at_mut((l - 1) * ring);
             let row_at = |m: usize, rr: usize| -> &[T] {
                 if rr == 0 || rr == rows - 1 || m == 0 {
                     cur.row(rr)
                 } else {
-                    &lower[m - 1][(rr % RING) * cols..][..cols]
+                    &lower[(m - 1) * ring + (rr % RING) * cols..][..cols]
                 }
             };
             let up = row_at(l - 1, r - 1);
@@ -210,7 +215,7 @@ pub(crate) fn band_pipeline<T: Scalar>(
                 compute_row(problem, method, l, r, up, mid, down, b, row)
             } else {
                 let slot_start = (r % RING) * cols;
-                let slot = &mut upper[0][slot_start..slot_start + cols];
+                let slot = &mut upper[slot_start..slot_start + cols];
                 let diff = compute_row(problem, method, l, r, up, mid, down, b, slot);
                 if owned && l == stage_level {
                     let stage = stage.as_mut().expect("stage level implies a stage");
@@ -354,6 +359,30 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Two 4-row bands of a 4-sweep epoch on a 10-row grid
+    /// `MIN_SPAWN_LUPS_PER_BAND / 16 + 2` columns wide sit exactly at the
+    /// spawn floor, so this test (and Miri, which runs it) exercises the
+    /// wavefront on scoped threads.
+    #[test]
+    fn tiled_epochs_spawn_at_the_floor() {
+        let cols = crate::engine::MIN_SPAWN_LUPS_PER_BAND / 16 + 2;
+        let sp = laplace(10, cols);
+        for method in [UpdateMethod::Jacobi, UpdateMethod::Checkerboard] {
+            assert!(plan(2, 4).spawns(10, cols, method));
+            assert!(!plan(2, 4).spawns(10, cols - 1, method));
+            let mut tiled = SweepEngine::with_plan(&sp, method, plan(2, 4));
+            assert_eq!(tiled.bands(), [1..5, 5..9]);
+            let mut last = 0.0;
+            for _ in 0..2 {
+                last = tiled.step().norm.expect("tiled steps report norms");
+            }
+            let (want, want_norm) = serial_reference(&sp, method, 8);
+            let what = format!("{method:?} at the floor");
+            assert_eq!(last.to_bits(), want_norm.to_bits(), "{what}: norm");
+            assert_bits_equal(tiled.solution(), &want, &what);
         }
     }
 

@@ -7,10 +7,11 @@
 //! every benchmark PDE family, both working precisions, random grid
 //! shapes including the degenerate single-interior-row/column cases,
 //! and thread counts that divide the interior evenly, unevenly, and
-//! not at all.
+//! not at all — plus wide, short grids straddling the spawn floor, so
+//! the bands are checked both inline and on scoped threads.
 
 use detrng::DetRng;
-use fdm::engine::{SolveEngine, SweepEngine, SweepPlan};
+use fdm::engine::{SolveEngine, SweepEngine, SweepPlan, MIN_SPAWN_LUPS_PER_BAND};
 use fdm::grid::Grid2D;
 use fdm::pde::{OffsetField, PdeKind, RunMode, StencilProblem};
 use fdm::precision::Scalar;
@@ -156,6 +157,59 @@ fn parallel_sweeps_are_bit_identical_to_serial_f32() {
     for _ in 0..3 {
         run_shape_sweep::<f32>(&mut rng);
     }
+}
+
+/// Grid shapes whose `threads` bands of 4 rows each sit one column
+/// short of, exactly at, and one column past the spawn floor per
+/// step of `sweeps` sweeps: the same rows (so the same bands) on both
+/// sides of it.
+fn floor_shapes(threads: usize, sweeps: usize) -> [(usize, usize, bool); 3] {
+    const BAND_ROWS: usize = 4;
+    let rows = threads * BAND_ROWS + 2;
+    let at = MIN_SPAWN_LUPS_PER_BAND / (BAND_ROWS * sweeps) + 2;
+    [
+        (rows, at - 1, false),
+        (rows, at, true),
+        (rows, at + 1, true),
+    ]
+}
+
+/// The banded step straddling the spawn floor: wide, short grids whose
+/// bands sit just below, at and just above it, so the scoped-thread
+/// path stays under the same bitwise check as the inline one. The band
+/// plan is identical on both sides; only where the bands run changes.
+fn run_floor_shapes<T: Scalar>(rng: &mut DetRng) {
+    for threads in [2usize, 7] {
+        let plan = SweepPlan {
+            threads,
+            tile_depth: 1,
+        };
+        let shapes = floor_shapes(threads, 1);
+        for kind in KINDS {
+            for (rows, cols, spawns) in shapes {
+                let sp: StencilProblem<T> = random_problem(rng, kind, rows, cols);
+                for method in METHODS {
+                    assert_eq!(plan.spawns(rows, cols, method), spawns, "{rows}x{cols}");
+                    assert_eq!(
+                        SweepEngine::with_plan(&sp, method, plan).bands(),
+                        plan.bands(shapes[0].0, method),
+                        "{rows}x{cols}: bands do not depend on the floor"
+                    );
+                    check_lockstep(&sp, method, threads);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn banded_steps_straddling_the_spawn_floor_are_bit_identical_f64() {
+    run_floor_shapes::<f64>(&mut DetRng::seed_from_u64(0xFD_AC_5E_04));
+}
+
+#[test]
+fn banded_steps_straddling_the_spawn_floor_are_bit_identical_f32() {
+    run_floor_shapes::<f32>(&mut DetRng::seed_from_u64(0xFD_AC_5E_05));
 }
 
 /// `row_bands_with_min` never emits a band narrower than the requested

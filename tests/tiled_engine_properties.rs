@@ -10,8 +10,9 @@
 //! iteration cap. This suite hammers all three promises with
 //! deterministic randomness ([`DetRng`]): every benchmark PDE family,
 //! both working precisions, degenerate shapes (3-row interiors,
-//! non-square grids), tile depths 1/2/4/8 and band counts that divide
-//! the interior evenly, unevenly and not at all.
+//! non-square grids), tile depths 1/2/4/8, band counts that divide
+//! the interior evenly, unevenly and not at all, and wide, short grids
+//! straddling the spawn floor (epochs inline and on scoped threads).
 //!
 //! A state image carries no plan, so the last suite exports one
 //! mid-run and restores it into an engine on a *different* plan: the
@@ -19,7 +20,9 @@
 
 use detrng::DetRng;
 use fdm::convergence::StopCondition;
-use fdm::engine::{Budget, EngineError, Session, SolveEngine, SweepEngine, SweepPlan};
+use fdm::engine::{
+    Budget, EngineError, Session, SolveEngine, SweepEngine, SweepPlan, MIN_SPAWN_LUPS_PER_BAND,
+};
 use fdm::grid::Grid2D;
 use fdm::pde::{OffsetField, PdeKind, RunMode, StencilProblem};
 use fdm::precision::Scalar;
@@ -204,6 +207,62 @@ fn tiled_epochs_are_tolerance_equivalent_to_serial_f32() {
         // the working precision.
         run_shape_sweep::<f32>(&mut rng, 1e-5);
     }
+}
+
+/// Grid shapes whose `threads` bands of 4 rows each sit one column
+/// short of, exactly at, and one column past the spawn floor per
+/// epoch of `k` sweeps: the same rows (so the same bands) on both sides
+/// of it.
+fn floor_shapes(threads: usize, k: usize) -> [(usize, usize, bool); 3] {
+    const BAND_ROWS: usize = 4;
+    let rows = threads * BAND_ROWS + 2;
+    let at = MIN_SPAWN_LUPS_PER_BAND / (BAND_ROWS * k) + 2;
+    [
+        (rows, at - 1, false),
+        (rows, at, true),
+        (rows, at + 1, true),
+    ]
+}
+
+/// Wavefront epochs straddling the spawn floor (k = 2 and 4; the
+/// banded suite covers k = 1): wide, short grids whose bands sit just
+/// below, at and just above it, so the epochs on scoped threads stay
+/// under the same contract as the inline ones. The band plan is
+/// identical on both sides; only where the bands run changes.
+fn run_floor_shapes<T: Scalar>(rng: &mut DetRng, tol: f64) {
+    for threads in [2usize, 7] {
+        for k in [2usize, 4] {
+            let plan = SweepPlan {
+                threads,
+                tile_depth: k,
+            };
+            let shapes = floor_shapes(threads, k);
+            for kind in KINDS {
+                for (rows, cols, spawns) in shapes {
+                    let sp: StencilProblem<T> = random_problem(rng, kind, rows, cols);
+                    for method in METHODS {
+                        assert_eq!(plan.spawns(rows, cols, method), spawns, "{rows}x{cols}");
+                        assert_eq!(
+                            SweepEngine::with_plan(&sp, method, plan).bands(),
+                            plan.bands(shapes[0].0, method),
+                            "{rows}x{cols}: bands do not depend on the floor"
+                        );
+                        check_epochs(&sp, method, k, threads, tol);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tiled_epochs_straddling_the_spawn_floor_f64() {
+    run_floor_shapes::<f64>(&mut DetRng::seed_from_u64(0xFD_71_1E_06), 1e-12);
+}
+
+#[test]
+fn tiled_epochs_straddling_the_spawn_floor_f32() {
+    run_floor_shapes::<f32>(&mut DetRng::seed_from_u64(0xFD_71_1E_07), 1e-5);
 }
 
 /// An iteration cap truncates the final epoch exactly: the counter
